@@ -24,10 +24,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -113,32 +111,12 @@ PassResult run_mpsc(const Market& full, std::size_t visible, std::size_t produce
   return r;
 }
 
-std::string arg_value(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (argv[i] == flag) return argv[i + 1];
-  return "";
-}
-
-/// Minimal baseline lookup, same shape as bench_opt_enum: one record per
-/// line in a write_json file, scanned as a flat string.
-std::optional<double> baseline_field(const std::string& text, const std::string& record,
-                                     const std::string& key) {
-  const std::string tag = "\"name\": \"" + record + "\"";
-  const std::size_t at = text.find(tag);
-  if (at == std::string::npos) return std::nullopt;
-  const std::size_t end = text.find('}', at);
-  const std::string want = "\"" + key + "\": ";
-  const std::size_t field = text.find(want, at);
-  if (field == std::string::npos || field > end) return std::nullopt;
-  return std::strtod(text.c_str() + field + want.size(), nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string json_path = bench::json_path_from_args(argc, argv);
-  const std::string check_path = arg_value(argc, argv, "--check");
-  const std::string min_rate_arg = arg_value(argc, argv, "--min-rate");
+  const std::string check_path = bench::arg_value(argc, argv, "--check");
+  const std::string min_rate_arg = bench::arg_value(argc, argv, "--min-rate");
   const double min_rate = min_rate_arg.empty() ? 0.0 : std::strtod(min_rate_arg.c_str(), nullptr);
 
   bench::banner("feed_throughput",
@@ -240,37 +218,17 @@ int main(int argc, char** argv) {
   }
 
   if (!check_path.empty()) {
-    std::ifstream in(check_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n", check_path.c_str());
-      return 2;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
+    const std::optional<std::string> baseline = bench::read_baseline(check_path);
+    if (!baseline) return 2;
     // Gate the deterministic counters exactly: they are pure functions of
     // the replayed trace and the feed config (timing fields are not gated —
     // wall clock on a shared runner is noise).
-    for (const bench::JsonResult& r : results) {
-      for (const auto& [key, value] : r.counters) {
-        if (key != "ticks_per_pass" && key != "committed_steps" &&
-            key != "epochs_published" && key != "gaps_filled" &&
-            key != "estimates_computed")
-          continue;
-        const std::optional<double> base = baseline_field(baseline, r.name, key);
-        if (!base) {
-          std::fprintf(stderr, "FAIL: baseline %s lacks %s for %s\n", check_path.c_str(),
-                       key.c_str(), r.name.c_str());
-          ok = false;
-          continue;
-        }
-        if (value != *base) {
-          std::fprintf(stderr, "FAIL: %s %s = %.0f != baseline %.0f\n", r.name.c_str(),
-                       key.c_str(), value, *base);
-          ok = false;
-        }
-      }
-    }
+    const auto gated = [](const std::string& key) {
+      return key == "ticks_per_pass" || key == "committed_steps" ||
+             key == "epochs_published" || key == "gaps_filled" ||
+             key == "estimates_computed";
+    };
+    if (!bench::counters_match(results, *baseline, check_path, gated, 0)) ok = false;
     if (ok) bench::note("deterministic-counter check passed against " + check_path);
   }
 

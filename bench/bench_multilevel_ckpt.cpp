@@ -21,9 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -136,30 +134,11 @@ PassResult run_pass(bool async_flush) {
   return r;
 }
 
-std::string arg_value(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (argv[i] == flag) return argv[i + 1];
-  return "";
-}
-
-/// Same flat-scan baseline lookup as bench_feed_throughput.
-std::optional<double> baseline_field(const std::string& text, const std::string& record,
-                                     const std::string& key) {
-  const std::string tag = "\"name\": \"" + record + "\"";
-  const std::size_t at = text.find(tag);
-  if (at == std::string::npos) return std::nullopt;
-  const std::size_t end = text.find('}', at);
-  const std::string want = "\"" + key + "\": ";
-  const std::size_t field = text.find(want, at);
-  if (field == std::string::npos || field > end) return std::nullopt;
-  return std::strtod(text.c_str() + field + want.size(), nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string json_path = bench::json_path_from_args(argc, argv);
-  const std::string check_path = arg_value(argc, argv, "--check");
+  const std::string check_path = bench::arg_value(argc, argv, "--check");
 
   bench::banner("multilevel_ckpt",
                 "Cache+XOR+S3 checkpoint hierarchy: sync vs async flush over a slow remote");
@@ -221,32 +200,11 @@ int main(int argc, char** argv) {
   }
 
   if (!check_path.empty()) {
-    std::ifstream in(check_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n", check_path.c_str());
-      return 2;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
+    const std::optional<std::string> baseline = bench::read_baseline(check_path);
+    if (!baseline) return 2;
     // Exact gate on the deterministic counters only (timing is not gated).
-    for (const bench::JsonResult& r : results) {
-      for (const auto& [key, value] : r.counters) {
-        if (key == "in_save_ms") continue;
-        const std::optional<double> base = baseline_field(baseline, r.name, key);
-        if (!base) {
-          std::fprintf(stderr, "FAIL: baseline %s lacks %s for %s\n", check_path.c_str(),
-                       key.c_str(), r.name.c_str());
-          ok = false;
-          continue;
-        }
-        if (value != *base) {
-          std::fprintf(stderr, "FAIL: %s %s = %.6f != baseline %.6f\n", r.name.c_str(),
-                       key.c_str(), value, *base);
-          ok = false;
-        }
-      }
-    }
+    const auto gated = [](const std::string& key) { return key != "in_save_ms"; };
+    if (!bench::counters_match(results, *baseline, check_path, gated, 6)) ok = false;
     if (ok) bench::note("deterministic-counter check passed against " + check_path);
   }
 

@@ -20,10 +20,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -100,33 +97,11 @@ bool plans_identical(const Plan& a, const Plan& b) {
   return true;
 }
 
-/// The value following `flag`, or "" when absent.
-std::string arg_value(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (argv[i] == flag) return argv[i + 1];
-  return "";
-}
-
-/// Minimal baseline lookup: finds the record with the given name in a file
-/// written by bench_util.h's write_json and returns the numeric field `key`.
-/// Records are one per line, so a flat string scan is sufficient.
-std::optional<double> baseline_field(const std::string& text, const std::string& record,
-                                     const std::string& key) {
-  const std::string tag = "\"name\": \"" + record + "\"";
-  const std::size_t at = text.find(tag);
-  if (at == std::string::npos) return std::nullopt;
-  const std::size_t end = text.find('}', at);
-  const std::string want = "\"" + key + "\": ";
-  const std::size_t field = text.find(want, at);
-  if (field == std::string::npos || field > end) return std::nullopt;
-  return std::strtod(text.c_str() + field + want.size(), nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string json_path = bench::json_path_from_args(argc, argv);
-  const std::string check_path = arg_value(argc, argv, "--check");
+  const std::string check_path = bench::arg_value(argc, argv, "--check");
 
   bench::banner("opt_enum", "Level-2 bid-tuple enumeration: incremental B&B vs reference scan");
 
@@ -189,21 +164,15 @@ int main(int argc, char** argv) {
   }
 
   if (!check_path.empty()) {
-    std::ifstream in(check_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n", check_path.c_str());
-      return 2;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
+    const std::optional<std::string> baseline = bench::read_baseline(check_path);
+    if (!baseline) return 2;
     // Gate the deterministic work counts, not wall time. model_evals is the
     // fingerprinted exhaustive count (must match exactly); evals_performed
     // and tuples_visited measure pruning effectiveness (+5% headroom).
     for (const bench::JsonResult& r : results) {
       for (const auto& [key, value] : r.counters) {
         if (key != "model_evals" && key != "evals_performed" && key != "tuples_visited") continue;
-        const std::optional<double> base = baseline_field(baseline, r.name, key);
+        const std::optional<double> base = bench::baseline_field(*baseline, r.name, key);
         if (!base) {
           std::fprintf(stderr, "FAIL: baseline %s lacks %s for %s\n", check_path.c_str(),
                        key.c_str(), r.name.c_str());

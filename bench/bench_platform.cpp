@@ -22,9 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -109,25 +107,6 @@ std::string solve_fingerprint(const Catalog& catalog, const ExecTimeEstimator& e
   return plan_fingerprint(optimizer.optimize(app, market, deadline_h));
 }
 
-std::string arg_value(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (argv[i] == flag) return argv[i + 1];
-  return "";
-}
-
-/// Same flat-scan baseline lookup as bench_multilevel_ckpt.
-std::optional<double> baseline_field(const std::string& text, const std::string& record,
-                                     const std::string& key) {
-  const std::string tag = "\"name\": \"" + record + "\"";
-  const std::size_t at = text.find(tag);
-  if (at == std::string::npos) return std::nullopt;
-  const std::size_t end = text.find('}', at);
-  const std::string want = "\"" + key + "\": ";
-  const std::size_t field = text.find(want, at);
-  if (field == std::string::npos || field > end) return std::nullopt;
-  return std::strtod(text.c_str() + field + want.size(), nullptr);
-}
-
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count() * 1e3;
 }
@@ -136,7 +115,7 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 
 int main(int argc, char** argv) {
   const std::string json_path = bench::json_path_from_args(argc, argv);
-  const std::string check_path = arg_value(argc, argv, "--check");
+  const std::string check_path = bench::arg_value(argc, argv, "--check");
 
   bench::banner("platform",
                 "Op-level platform cost models + platform-backed optimizer solve");
@@ -223,32 +202,12 @@ int main(int argc, char** argv) {
                       {"hetero_thread_invariant", thread_invariant ? 1.0 : 0.0}}});
 
   if (!check_path.empty()) {
-    std::ifstream in(check_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n", check_path.c_str());
-      return 2;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
+    const std::optional<std::string> baseline = bench::read_baseline(check_path);
+    if (!baseline) return 2;
     // Every counter is a pure function of the platform text and the catalog,
     // so the gate is exact (timing fields are not gated).
-    for (const bench::JsonResult& r : results) {
-      for (const auto& [key, value] : r.counters) {
-        const std::optional<double> base = baseline_field(baseline, r.name, key);
-        if (!base) {
-          std::fprintf(stderr, "FAIL: baseline %s lacks %s for %s\n", check_path.c_str(),
-                       key.c_str(), r.name.c_str());
-          ok = false;
-          continue;
-        }
-        if (value != *base) {
-          std::fprintf(stderr, "FAIL: %s %s = %.6f != baseline %.6f\n", r.name.c_str(),
-                       key.c_str(), value, *base);
-          ok = false;
-        }
-      }
-    }
+    const auto gated = [](const std::string&) { return true; };
+    if (!bench::counters_match(results, *baseline, check_path, gated, 6)) ok = false;
     if (ok) bench::note("deterministic-counter check passed against " + check_path);
   }
 

@@ -8,6 +8,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -95,11 +100,16 @@ inline std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// The value following `flag`, or "" when the flag is absent.
+inline std::string arg_value(int argc, char** argv, const std::string& flag) {
+  for (int i = 1; i + 1 < argc; ++i)
+    if (argv[i] == flag) return argv[i + 1];
+  return "";
+}
+
 /// The value following "--json", or "" when the flag is absent.
 inline std::string json_path_from_args(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::string(argv[i]) == "--json") return argv[i + 1];
-  return "";
+  return arg_value(argc, argv, "--json");
 }
 
 /// Writes the records as a JSON array. Names and counter keys are escaped.
@@ -120,6 +130,68 @@ inline void write_json(const std::string& path, const std::vector<JsonResult>& r
   std::fprintf(out, "]\n");
   std::fclose(out);
   std::printf("json: wrote %zu result(s) to %s\n", results.size(), path.c_str());
+}
+
+// --- baseline gates (--check <baseline.json>) ------------------------------
+//
+// The gated benches compare their deterministic counters against a committed
+// BENCH_*.json written by write_json. Wall-clock fields are never gated
+// against a baseline recorded on another machine.
+
+/// The whole text of the baseline file, or nullopt after printing a FAIL
+/// line when it cannot be read (the gates exit 2 on that).
+inline std::optional<std::string> read_baseline(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "FAIL: cannot read baseline %s\n", path.c_str());
+    return std::nullopt;
+  }
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// Numeric field `key` of the record named `record` in a write_json file, or
+/// nullopt when either is missing. Records are one per line, so a flat
+/// string scan is sufficient.
+inline std::optional<double> baseline_field(const std::string& text, const std::string& record,
+                                            const std::string& key) {
+  const std::string tag = "\"name\": \"" + record + "\"";
+  const std::size_t at = text.find(tag);
+  if (at == std::string::npos) return std::nullopt;
+  const std::size_t end = text.find('}', at);
+  const std::string want = "\"" + key + "\": ";
+  const std::size_t field = text.find(want, at);
+  if (field == std::string::npos || field > end) return std::nullopt;
+  return std::strtod(text.c_str() + field + want.size(), nullptr);
+}
+
+/// Exact gate: every counter whose key `gated` accepts must equal its value
+/// in `baseline` (the text of the file at `path`). Prints one FAIL line per
+/// missing or differing counter, values with `digits` decimals; returns
+/// whether every gated counter matched.
+inline bool counters_match(const std::vector<JsonResult>& results, const std::string& baseline,
+                           const std::string& path,
+                           const std::function<bool(const std::string&)>& gated, int digits) {
+  bool ok = true;
+  for (const JsonResult& r : results) {
+    for (const auto& [key, value] : r.counters) {
+      if (!gated(key)) continue;
+      const std::optional<double> base = baseline_field(baseline, r.name, key);
+      if (!base) {
+        std::fprintf(stderr, "FAIL: baseline %s lacks %s for %s\n", path.c_str(), key.c_str(),
+                     r.name.c_str());
+        ok = false;
+        continue;
+      }
+      if (value != *base) {
+        std::fprintf(stderr, "FAIL: %s %s = %.*f != baseline %.*f\n", r.name.c_str(),
+                     key.c_str(), digits, value, digits, *base);
+        ok = false;
+      }
+    }
+  }
+  return ok;
 }
 
 }  // namespace sompi::bench

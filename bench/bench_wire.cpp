@@ -27,11 +27,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <numeric>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -53,18 +51,6 @@ double seconds_since(Clock::time_point t0) {
 
 void gate(const char* what, bool ok) {
   std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what);
-}
-
-std::optional<double> baseline_field(const std::string& text, const std::string& record,
-                                     const std::string& key) {
-  const std::string tag = "\"name\": \"" + record + "\"";
-  const std::size_t at = text.find(tag);
-  if (at == std::string::npos) return std::nullopt;
-  const std::size_t end = text.find('}', at);
-  const std::string want = "\"" + key + "\": ";
-  const std::size_t field = text.find(want, at);
-  if (field == std::string::npos || field > end) return std::nullopt;
-  return std::strtod(text.c_str() + field + want.size(), nullptr);
 }
 
 ServiceConfig fast_config() {
@@ -293,33 +279,14 @@ int main(int argc, char** argv) {
   }
 
   if (!check_path.empty()) {
-    std::ifstream in(check_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n", check_path.c_str());
-      return 2;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
+    const std::optional<std::string> baseline = bench::read_baseline(check_path);
+    if (!baseline) return 2;
     // Exact-equality on the deterministic counters; wall-clock fields are
     // never compared across machines.
-    for (const bench::JsonResult& r : results) {
-      for (const auto& [key, value] : r.counters) {
-        if (key == "inproc_p50_ms" || key == "wire_over_inproc") continue;
-        const std::optional<double> base = baseline_field(baseline, r.name, key);
-        if (!base) {
-          std::fprintf(stderr, "FAIL: baseline %s lacks %s for %s\n", check_path.c_str(),
-                       key.c_str(), r.name.c_str());
-          ok = false;
-          continue;
-        }
-        if (value != *base) {
-          std::fprintf(stderr, "FAIL: %s %s = %.0f != baseline %.0f\n", r.name.c_str(),
-                       key.c_str(), value, *base);
-          ok = false;
-        }
-      }
-    }
+    const auto gated = [](const std::string& key) {
+      return key != "inproc_p50_ms" && key != "wire_over_inproc";
+    };
+    if (!bench::counters_match(results, *baseline, check_path, gated, 0)) ok = false;
     if (ok) bench::note("deterministic-counter check passed against " + check_path);
   }
 

@@ -23,7 +23,7 @@
 //         With no path (or "example") the built-in heterogeneous example
 //         platform (examples/platforms/hetero_slow_zone.plat) is shown
 //   shards <N> [APP] [factor] [burst=8]
-//         spin up an N-shard replicated serving tier (src/service/sharded)
+//         spin up an N-shard serving tier (src/service/sharded)
 //         over the current market: spray `burst` identical requests onto
 //         different shards (the cross-shard dedup tier forwards them all to
 //         the ring-home shard — exactly one solve), then push a small batch
@@ -394,8 +394,8 @@ int main(int argc, char** argv) {
         n = std::clamp<std::size_t>(n, 1, 16);
         if (burst < 1) burst = 8;
 
-        // A fresh tier over the board's CURRENT market: every shard's
-        // replica starts bit-identical, fed by one fan-out from here on.
+        // A fresh tier over the board's CURRENT market: every shard plans
+        // against the tier's one board, which starts at that market.
         ShardedConfig scfg;
         scfg.shards = n;
         scfg.service.max_concurrent_solves = solves;

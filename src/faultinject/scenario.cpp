@@ -1337,7 +1337,7 @@ ScenarioOutcome run_sharded_scenario(std::uint64_t seed) {
   const std::size_t n_requests = 6 + rng.uniform_index(7);
   for (std::size_t i = 0; i < n_requests; ++i) {
     if (rng.bernoulli(0.25)) {
-      // Identical updates through both fan-outs: the two deployments must
+      // Identical updates into both tiers' boards: the two deployments must
       // stay on one (epoch → market) timeline.
       const std::vector<PriceUpdate> updates{
           PriceUpdate{{0, 0}, {0.01 + rng.uniform(0.0, 0.05)}}};
@@ -1565,8 +1565,8 @@ ScenarioOutcome run_warmstart_scenario(std::uint64_t seed) {
 // wrong type, overlong declaration, malformed payload — is rejected with
 // EXACTLY the expected class counter and never a crash. (B) A no-chaos
 // end-to-end lockstep: a routed PlanClient drives a PlanServerLoop over a
-// seeded {1,2,4,8}-shard tier (with mid-stream epoch bumps through both
-// fan-outs) against the 1-shard in-process oracle — every wire-served plan
+// seeded {1,2,4,8}-shard tier (with mid-stream epoch bumps into both
+// tiers' boards) against the 1-shard in-process oracle — every wire-served plan
 // must be fingerprint-identical, the forwarding counter must stay 0, and
 // the server must report zero codec rejects. (C) A chaos pass (torn writes,
 // drops, short reads from the seed's FaultPlan): async submissions must ALL

@@ -61,7 +61,7 @@
 //     solves and thread counts.
 //
 //   sharded — a seeded {1, 2, 4, 8}-shard serving tier (consistent-hash
-//     router, fan-out-replicated boards, cross-shard dedup) runs a request
+//     router, one shared board, cross-shard dedup) runs a request
 //     stream mixing ring-routed and sprayed landings, epoch bumps and
 //     seeded cache wipes, in lockstep with a single-shard oracle fed the
 //     identical updates. Invariants: every tier response is

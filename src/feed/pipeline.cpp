@@ -10,25 +10,14 @@
 namespace sompi::feed {
 
 FeedPipeline::FeedPipeline(MarketBoard* board, FeedConfig config)
-    : FeedPipeline(nullptr,
-                   std::make_unique<BoardFanout>(std::vector<MarketBoard*>{board}),
-                   config) {}
-
-FeedPipeline::FeedPipeline(BoardFanout* fanout, FeedConfig config)
-    : FeedPipeline(fanout, nullptr, config) {}
-
-FeedPipeline::FeedPipeline(BoardFanout* fanout, std::unique_ptr<BoardFanout> owned,
-                           FeedConfig config)
-    : owned_fanout_(std::move(owned)),
-      fanout_(fanout != nullptr ? fanout : owned_fanout_.get()),
-      config_(config) {
-  SOMPI_REQUIRE(fanout_ != nullptr);
+    : board_(board), config_(config) {
+  SOMPI_REQUIRE(board_ != nullptr);
   SOMPI_REQUIRE(config_.window_steps > 0);
   SOMPI_REQUIRE(config_.publish_every > 0);
   SOMPI_REQUIRE(config_.late_horizon >= 1);
   SOMPI_REQUIRE(config_.queue_capacity > 0);
 
-  const MarketSnapshot snap = fanout_->primary()->snapshot();
+  const MarketSnapshot snap = board_->snapshot();
   const Market& market = *snap.market;
   const Catalog& catalog = market.catalog();
   zones_ = catalog.zones().size();
@@ -193,7 +182,7 @@ void FeedPipeline::publish_batch_locked() {
     rows_in_batch_ = 0;
     return;
   }
-  const std::uint64_t epoch = fanout_->ingest(updates);
+  const std::uint64_t epoch = board_->ingest(updates);
   ++stats_.epochs_published;
   if (config_.estimate) estimate_locked(epoch);
 

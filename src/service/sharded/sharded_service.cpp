@@ -21,19 +21,11 @@ ShardedPlanService::ShardedPlanService(const Catalog* catalog,
                                        const ExecTimeEstimator* estimator,
                                        const Market& initial, ShardedConfig config)
     : config_(std::move(config)),
-      router_(RouterConfig{config_.shards, config_.vnodes, config_.salt}) {
+      router_(RouterConfig{config_.shards, config_.vnodes, config_.salt}),
+      board_(initial) {
   SOMPI_REQUIRE_MSG(config_.shards >= 1, "sharded tier needs at least one shard");
 
-  boards_.reserve(config_.shards);
   services_.reserve(config_.shards);
-  std::vector<MarketBoard*> replicas;
-  replicas.reserve(config_.shards);
-  for (std::size_t i = 0; i < config_.shards; ++i) {
-    boards_.push_back(std::make_unique<MarketBoard>(initial));
-    replicas.push_back(boards_.back().get());
-  }
-  fanout_ = std::make_unique<BoardFanout>(std::move(replicas));
-
   for (std::size_t i = 0; i < config_.shards; ++i) {
     ServiceConfig sc = config_.service;
     sc.cache.capacity =
@@ -47,8 +39,18 @@ ShardedPlanService::ShardedPlanService(const Catalog* catalog,
       if (user_hook) user_hook(key, epoch);
     };
     services_.push_back(
-        std::make_unique<PlanService>(catalog, estimator, boards_[i].get(), std::move(sc)));
+        std::make_unique<PlanService>(catalog, estimator, &board_, std::move(sc)));
   }
+}
+
+PlanService& ShardedPlanService::shard(std::size_t i) {
+  SOMPI_REQUIRE_MSG(i < services_.size(), "shard out of range: " + std::to_string(i));
+  return *services_[i];
+}
+
+MarketBoard& ShardedPlanService::board(std::size_t i) {
+  SOMPI_REQUIRE_MSG(i < services_.size(), "shard out of range: " + std::to_string(i));
+  return board_;
 }
 
 std::size_t ShardedPlanService::home_shard_for_key(const std::string& canonical_key) const {
@@ -146,7 +148,7 @@ ShardedStats ShardedPlanService::stats() const {
     s.total.replan_p99_ms = std::max(s.total.replan_p99_ms, shard.replan_p99_ms);
     s.total.cache_entries += shard.cache_entries;
   }
-  s.total.epoch = fanout_->epoch();
+  s.total.epoch = board_.epoch();
   s.routed = routed_.load(std::memory_order_relaxed);
   s.sprayed = sprayed_.load(std::memory_order_relaxed);
   s.forwarded = forwarded_.load(std::memory_order_relaxed);

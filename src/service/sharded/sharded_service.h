@@ -7,17 +7,19 @@
 //        ┌───────────── CrossShardDedup (forward + solve ledger) ─────────┐
 //        ▼                         ▼                                      ▼
 //   PlanService[0]            PlanService[1]        ...          PlanService[N-1]
-//   MarketBoard[0] ◄──────────BoardFanout (one epoch sequence)──► MarketBoard[N-1]
+//        └─────────────────────────┼──────────────────────────────────────┘
+//                                  ▼
+//                      MarketBoard (one epoch sequence)
 //
-// Every shard is a full PlanService over its own MarketBoard replica; one
-// BoardFanout publishes every market update to all replicas under a
-// versioned barrier, so each epoch names the same frozen market on every
-// shard. Requests route to the ring owner of their canonical key — via
-// serve() directly, or via serve_on(), which models a load balancer that
-// sprayed the request onto an arbitrary shard: the cross-shard dedup tier
-// forwards it home, so a burst of identical requests landing on N different
-// shards still collapses onto ONE flight (the home shard's single-flight)
-// and solves exactly once.
+// Every shard is a full PlanService borrowing the tier's one MarketBoard.
+// Shards plan against the board's immutable copy-on-write snapshots, so an
+// epoch names the same frozen market on every shard by construction — one
+// epoch sequence, not N replicas kept in step. Requests route to the ring
+// owner of their canonical key — via serve() directly, or via serve_on(),
+// which models a load balancer that sprayed the request onto an arbitrary
+// shard: the cross-shard dedup tier forwards it home, so a burst of
+// identical requests landing on N different shards still collapses onto ONE
+// flight (the home shard's single-flight) and solves exactly once.
 //
 // The equivalence contract, enforced by tests rather than convention:
 // for ANY request stream and ANY shard count, every response's
@@ -41,7 +43,7 @@
 #include <utility>
 #include <vector>
 
-#include "service/board_fanout.h"
+#include "service/market_board.h"
 #include "service/plan_service.h"
 #include "service/sharded/shard_router.h"
 
@@ -68,7 +70,7 @@ struct ShardedConfig {
 struct ShardedStats {
   /// Counter-wise sum over shards. solve_p50_ms/p99_ms (and their replan_*
   /// twins) are the WORST shard's percentiles (summing percentiles is
-  /// meaningless); epoch is the fan-out's common epoch.
+  /// meaningless); epoch is the tier board's epoch.
   ServiceStats total;
   std::vector<ServiceStats> per_shard;
   std::uint64_t routed = 0;     ///< serve() calls (ring-routed at the tier door)
@@ -79,9 +81,8 @@ struct ShardedStats {
 
 class ShardedPlanService {
  public:
-  /// `catalog` and `estimator` are borrowed and must outlive the tier. Each
-  /// shard's MarketBoard replica is primed with a copy of `initial`; all
-  /// replicas therefore start at epoch 1 with bit-identical content.
+  /// `catalog` and `estimator` are borrowed and must outlive the tier. The
+  /// tier's one MarketBoard publishes `initial` as epoch 1.
   ShardedPlanService(const Catalog* catalog, const ExecTimeEstimator* estimator,
                      const Market& initial, ShardedConfig config);
 
@@ -108,13 +109,14 @@ class ShardedPlanService {
   std::size_t home_shard(const PlanRequest& request) const;
   std::size_t home_shard_for_key(const std::string& canonical_key) const;
 
-  /// The single epoch-publication entry point: ingesting here bumps every
-  /// shard's replica under the fan-out barrier.
-  BoardFanout& fanout() { return *fanout_; }
+  /// The single epoch-publication entry point: the tier's one board, which
+  /// every shard plans against.
+  MarketBoard& fanout() { return board_; }
 
   std::size_t shard_count() const { return services_.size(); }
-  PlanService& shard(std::size_t i) { return *services_[i]; }
-  MarketBoard& board(std::size_t i) { return *boards_[i]; }
+  PlanService& shard(std::size_t i);
+  /// The board shard `i` plans against — the same one for every shard.
+  MarketBoard& board(std::size_t i);
   const ShardRouter& router() const { return router_; }
 
   /// Sum of per-shard stale sweeps.
@@ -139,9 +141,8 @@ class ShardedPlanService {
 
   ShardedConfig config_;
   ShardRouter router_;
-  std::vector<std::unique_ptr<MarketBoard>> boards_;
+  MarketBoard board_;
   std::vector<std::unique_ptr<PlanService>> services_;
-  std::unique_ptr<BoardFanout> fanout_;
 
   std::atomic<std::uint64_t> routed_{0};
   std::atomic<std::uint64_t> sprayed_{0};

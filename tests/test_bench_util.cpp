@@ -1,11 +1,13 @@
 // Unit tests for bench/bench_util.h — the nearest-rank percentile the
-// latency benches report, and the JSON emitter's string escaping. The
+// latency benches report, the JSON emitter's string escaping, and the
+// --check baseline gate the CI bench steps share. The
 // linear-interpolation percentile in common/stats.h is the right estimator
 // for smooth distributions; for tail latency over small N it invents values
 // between the two largest observations, so the benches use nearest-rank
 // instead.
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -117,6 +119,39 @@ TEST(JsonEscape, WriteJsonEmitsEscapedNamesAndCounterKeys) {
     if (c == '\n') ++lines;
   EXPECT_EQ(lines, 3u);
   std::remove(path.c_str());
+}
+
+TEST(ArgValue, ReturnsTheValueAfterTheFlag) {
+  char prog[] = "bench", check[] = "--check", file[] = "b.json", json[] = "--json";
+  char* argv[] = {prog, check, file, json};
+  EXPECT_EQ(arg_value(4, argv, "--check"), "b.json");
+  EXPECT_EQ(arg_value(4, argv, "--json"), "");  // last flag, no value
+  EXPECT_EQ(arg_value(4, argv, "--min-rate"), "");
+}
+
+TEST(BaselineGate, WriteJsonRoundTripsThroughTheCounterGate) {
+  const std::string path = ::testing::TempDir() + "bench_util_gate.json";
+  JsonResult r;
+  r.name = "sharded_scale";
+  r.counters = {{"solves", 48.0}, {"rps", 900.5}};
+  write_json(path, {r});
+  const std::optional<std::string> text = read_baseline(path);
+  ASSERT_TRUE(text.has_value());
+  EXPECT_EQ(baseline_field(*text, "sharded_scale", "solves"), 48.0);
+  EXPECT_EQ(baseline_field(*text, "sharded_scale", "missing"), std::nullopt);
+  EXPECT_EQ(baseline_field(*text, "other", "solves"), std::nullopt);
+
+  const auto solves_only = [](const std::string& key) { return key == "solves"; };
+  EXPECT_TRUE(counters_match({r}, *text, path, solves_only, 0));
+  r.counters[1].second = 1.0;  // an ungated counter may drift
+  EXPECT_TRUE(counters_match({r}, *text, path, solves_only, 0));
+  r.counters[0].second = 49.0;
+  EXPECT_FALSE(counters_match({r}, *text, path, solves_only, 0));
+  r.counters.push_back({"new_key", 1.0});  // gated but absent from the baseline
+  EXPECT_FALSE(counters_match({r}, *text, path, [](const std::string&) { return true; }, 0));
+
+  std::remove(path.c_str());
+  EXPECT_FALSE(read_baseline(path).has_value());
 }
 
 }  // namespace

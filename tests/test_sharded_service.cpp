@@ -1,6 +1,6 @@
 // Shard-equivalence battery for the sharded plan-serving tier
 // (src/service/sharded): the consistent-hash router's purity and ring
-// stability, the fan-out's replicated epoch publication, and the headline
+// stability, feed publication into the tier's one board, and the headline
 // differential contract — for any request stream, an N-shard tier's plan
 // fingerprints are bit-identical to the single-shard oracle's, its counters
 // obey the conservation laws, and a tier-wide burst of identical requests
@@ -10,12 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.h"
+#include "feed/pipeline.h"
+#include "feed/tick_source.h"
 #include "profile/paper_profiles.h"
 #include "service/sharded/batch.h"
 
@@ -92,48 +95,6 @@ TEST(ShardRouter, RemovingAShardIsTheMirrorImage) {
 TEST(ShardRouter, RejectsDegenerateConfigs) {
   EXPECT_THROW(ShardRouter({.shards = 0, .vnodes = 64, .salt = 0}), PreconditionError);
   EXPECT_THROW(ShardRouter({.shards = 4, .vnodes = 0, .salt = 0}), PreconditionError);
-}
-
-// ---------------------------------------------------------------------------
-// BoardFanout: replicated epoch publication.
-
-class BoardFanoutTest : public ::testing::Test {
- protected:
-  Catalog catalog_ = paper_catalog();
-  Market market_ = generate_market(catalog_, paper_market_profile(catalog_), /*days=*/2.0,
-                                   /*step_hours=*/0.25, /*seed=*/11);
-};
-
-TEST_F(BoardFanoutTest, IngestBumpsEveryReplicaToTheSameEpochAndContent) {
-  MarketBoard a(market_), b(market_), c(market_);
-  BoardFanout fanout({&a, &b, &c});
-  EXPECT_EQ(fanout.epoch(), 1u);
-  EXPECT_EQ(fanout.replica_count(), 3u);
-
-  const std::uint64_t epoch =
-      fanout.ingest({PriceUpdate{{0, 0}, {0.011, 0.022}}, PriceUpdate{{1, 1}, {0.033}}});
-  EXPECT_EQ(epoch, 2u);
-  EXPECT_EQ(a.epoch(), 2u);
-  EXPECT_EQ(b.epoch(), 2u);
-  EXPECT_EQ(c.epoch(), 2u);
-  EXPECT_EQ(fanout.publications(), 1u);
-
-  // Bit-identical content on every replica: same trace lengths and prices.
-  const auto sa = a.snapshot(), sb = b.snapshot(), sc = c.snapshot();
-  const SpotTrace& ta = sa.market->trace({0, 0});
-  const SpotTrace& tb = sb.market->trace({0, 0});
-  const SpotTrace& tc = sc.market->trace({0, 0});
-  ASSERT_EQ(ta.steps(), tb.steps());
-  ASSERT_EQ(ta.steps(), tc.steps());
-  EXPECT_EQ(ta.price(ta.steps() - 1), tb.price(tb.steps() - 1));
-  EXPECT_EQ(ta.price(ta.steps() - 1), tc.price(tc.steps() - 1));
-}
-
-TEST_F(BoardFanoutTest, RejectsReplicasAtDivergentEpochs) {
-  MarketBoard a(market_), b(market_);
-  b.ingest({});  // push b to epoch 2 behind the fan-out's back
-  EXPECT_THROW(BoardFanout({&a, &b}), PreconditionError);
-  EXPECT_THROW(BoardFanout({}), PreconditionError);
 }
 
 // ---------------------------------------------------------------------------
@@ -267,10 +228,7 @@ TEST_F(ShardedServiceTest, FingerprintsAndCountersMatchTheSingleShardOracle) {
     EXPECT_EQ(sum_hits + sum_solves + sum_joins + sum_sheds, sum_requests);
     EXPECT_EQ(got.stats.routed + got.stats.sprayed, got.stats.total.requests);
 
-    // Every replica ended on the oracle's epoch.
     EXPECT_EQ(got.stats.total.epoch, want.stats.total.epoch);
-    for (std::size_t i = 0; i < tier.shard_count(); ++i)
-      EXPECT_EQ(tier.board(i).epoch(), want.stats.total.epoch);
   }
 }
 
@@ -373,6 +331,51 @@ TEST_F(ShardedServiceTest, RejectsZeroShardsAndOutOfRangeLanding) {
                PreconditionError);
   ShardedPlanService tier(&catalog_, &est_, market_, tier_config(2));
   EXPECT_THROW(tier.serve_on(2, request(1.5)), PreconditionError);
+  EXPECT_THROW(tier.shard(2), PreconditionError);
+  EXPECT_THROW(tier.board(2), PreconditionError);
+}
+
+TEST_F(ShardedServiceTest, FeedPublicationsReachEveryShardAtTheOracleEpoch) {
+  // One FeedPipeline per tier, fed the identical tick stream: after every
+  // publication each shard reports the tier's epoch and serves the plan the
+  // 1-shard oracle serves at that epoch, whichever shard it lands on.
+  const std::size_t tail = 12;
+  const std::size_t visible = market_.trace({0, 0}).steps() - tail;
+  const Market primed = market_.window(0, visible);
+  ShardedPlanService tier(&catalog_, &est_, primed, tier_config(4));
+  ShardedPlanService oracle(&catalog_, &est_, primed, tier_config(1));
+  feed::FeedConfig cfg;
+  cfg.publish_every = 4;
+  cfg.estimate = false;
+  feed::FeedPipeline tier_feed(&tier.fanout(), cfg);
+  feed::FeedPipeline oracle_feed(&oracle.fanout(), cfg);
+
+  feed::ReplayTickSource source(&market_, {}, visible, tail);
+  std::uint64_t published = 0;
+  while (const std::optional<feed::Tick> tick = source.next()) {
+    tier_feed.offer(*tick);
+    oracle_feed.offer(*tick);
+    if (tier_feed.stats().epochs_published == published) continue;
+    published = tier_feed.stats().epochs_published;
+    SCOPED_TRACE("publication " + std::to_string(published));
+    ASSERT_EQ(oracle_feed.stats().epochs_published, published);
+
+    const ShardedStats stats = tier.stats();
+    ASSERT_EQ(stats.total.epoch, oracle.stats().total.epoch);
+    for (std::size_t i = 0; i < tier.shard_count(); ++i)
+      EXPECT_EQ(stats.per_shard[i].epoch, stats.total.epoch) << "shard " << i;
+
+    const PlanResponse want = oracle.serve(request(1.5));
+    ASSERT_NE(want.plan, nullptr);
+    for (std::size_t i = 0; i < tier.shard_count(); ++i) {
+      const PlanResponse got = tier.serve_on(i, request(1.5));
+      ASSERT_NE(got.plan, nullptr);
+      EXPECT_EQ(got.epoch, want.epoch) << "shard " << i;
+      EXPECT_EQ(plan_fingerprint(*got.plan), plan_fingerprint(*want.plan)) << "shard " << i;
+    }
+  }
+  EXPECT_EQ(published, tail / cfg.publish_every);
+  EXPECT_EQ(tier.duplicate_solves(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // TSan-targeted stress for the sharded plan-serving tier: 8 shards hammered
 // by 8 worker threads mixing ring-routed and sprayed requests while a bumper
-// thread churns the epoch through the fan-out's versioned barrier — plus a
+// thread churns the epoch through the tier's one shared board — plus a
 // chaos variant that wipes shard caches mid-flight, and the async batch
 // API's harvest-completeness law under backpressure and shed pressure.
 //

@@ -446,7 +446,7 @@ TEST_F(WireServing, PlansServedOverTheWireMatchTheInProcessOracle) {
 
     for (std::size_t i = 0; i < factors.size(); ++i) {
       if (i == 3) {
-        // Mid-stream epoch bump, identically into both fan-outs.
+        // Mid-stream epoch bump, identically into both tiers' boards.
         const std::vector<PriceUpdate> updates = {PriceUpdate{{0, 0}, {0.021, 0.027}}};
         oracle.fanout().ingest(updates);
         tier.fanout().ingest(updates);
