@@ -43,7 +43,6 @@
 
 #include "bench_util.h"
 #include "service/plan_service.h"
-#include "service/sharded/batch.h"
 #include "service/sharded/sharded_service.h"
 
 using namespace sompi;

@@ -1,5 +1,5 @@
 // Wire-serving overhead and equivalence: the RPC front end vs the in-process
-// tier (DESIGN.md §15, ISSUE 10).
+// tier (DESIGN.md §15).
 //
 //   $ ./bench_wire [--iters N=30] [--batch B=32] [--json <path>]
 //                  [--check <baseline.json>]
@@ -13,16 +13,16 @@
 // misroute tax: the routed client's tier forwarding counter must be exactly
 // 0, the spray client's exactly the locally computed misroute count.
 //
-// The latency half measures warm-hit batches (every key cached) through both
-// front doors: the wire client's async submit/drain/harvest and an
-// AsyncBatchService on the same tier. Acceptance gates: zero divergence at
-// both shard counts, routed forwards == 0, spray forwards exact and > 0,
-// and warm-hit wire p50 ≤ 1.5× the in-process batch p50 (per request,
-// amortized over the batch). --check compares the deterministic counters
-// (requests, solves, hits, divergence, forwards, rejects) against the
-// committed baseline (bench/BENCH_wire.json) exact-equality; wall-clock
-// numbers are printed and gated in-process but never compared across
-// machines.
+// The latency half measures warm-hit batches (every key cached) two ways:
+// the wire client's async submit/drain/harvest, and the same batch served
+// in-process by tier.serve() in a loop on the bench thread. Acceptance
+// gates: zero divergence at both shard counts, routed forwards == 0, spray
+// forwards exact and > 0, and warm-hit wire p50 ≤ 1.5× the in-process p50
+// (per request, amortized over the batch). --check compares the
+// deterministic counters (requests, solves, hits, divergence, forwards,
+// rejects) against the committed baseline (bench/BENCH_wire.json)
+// exact-equality; wall-clock numbers are printed and gated in-process but
+// never compared across machines.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -36,7 +36,6 @@
 #include "bench_util.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "service/sharded/batch.h"
 #include "service/sharded/sharded_service.h"
 
 using namespace sompi;
@@ -88,7 +87,7 @@ struct ShardRun {
   std::uint64_t frames_rejected = 0;
   std::uint64_t wire_errors = 0;
   std::vector<double> wire_s;    ///< per-request warm-hit seconds, wire batch
-  std::vector<double> inproc_s;  ///< same, through AsyncBatchService
+  std::vector<double> inproc_s;  ///< same, tier.serve() on the bench thread
 };
 
 }  // namespace
@@ -161,17 +160,16 @@ int main(int argc, char** argv) {
     }
 
     // --- Warm-hit latency: every stream key is cached at the live epoch ---
-    // Per iteration, one batch of `batch_size` requests through each front
-    // door; the per-request amortized time is what a serving deployment
-    // pays per plan at steady state.
+    // Per iteration, one batch of `batch_size` requests through the wire
+    // and the same batch through tier.serve(); the per-request amortized
+    // time is what a serving deployment pays per plan at steady state.
     std::vector<PlanRequest> warm;
     for (std::size_t i = 0; i < batch_size; ++i)
       warm.push_back(request(distinct[i % distinct.size()]));
-    AsyncBatchService inproc(&tier, {.workers = 4, .queue_capacity = 256});
-    // Interleaved and paired: each iteration times one batch through each
-    // front door back to back, so drift (frequency scaling, noisy
-    // neighbours) hits both sides alike; the first `warmup` pairs prime
-    // caches and thread pools and are not recorded.
+    // Interleaved and paired: each iteration times one batch each way back
+    // to back, so drift (frequency scaling, noisy neighbours) hits both
+    // sides alike; the first `warmup` pairs prime caches and thread pools
+    // and are not recorded.
     const int warmup = 5;
     for (int it = -warmup; it < iters; ++it) {
       const auto t_wire = Clock::now();
@@ -181,9 +179,8 @@ int main(int argc, char** argv) {
       const double wire_s = seconds_since(t_wire) / static_cast<double>(batch_size);
 
       const auto t_inproc = Clock::now();
-      (void)inproc.submit_batch(warm);
-      inproc.drain();
-      const std::size_t inproc_done = inproc.harvest().size();
+      std::size_t inproc_done = 0;
+      for (const PlanRequest& r : warm) inproc_done += tier.serve(r).plan != nullptr ? 1 : 0;
       const double inproc_s = seconds_since(t_inproc) / static_cast<double>(batch_size);
 
       if (wire_done != batch_size || inproc_done != batch_size) ++run.divergence;
@@ -191,7 +188,6 @@ int main(int argc, char** argv) {
       run.wire_s.push_back(wire_s);
       run.inproc_s.push_back(inproc_s);
     }
-    inproc.stop();
 
     // --- Misroute tax: a spray client on a fresh identical tier ----------
     ShardedPlanService spray_tier(&catalog, &est, market, tier_config(shards));
@@ -274,7 +270,7 @@ int main(int argc, char** argv) {
     gate("zero codec rejects and zero wire errors on a clean stream",
          run.frames_rejected == 0 && run.wire_errors == 0);
     const double ratio = paired_ratio(run);
-    std::printf("  [%s] warm-hit wire <= 1.5x in-process batch (median paired, %.2fx)\n",
+    std::printf("  [%s] warm-hit wire <= 1.5x in-process serve (median paired, %.2fx)\n",
                 ratio <= 1.5 ? "PASS" : "FAIL", ratio);
   }
 

@@ -26,8 +26,7 @@
 //         spin up an N-shard serving tier (src/service/sharded)
 //         over the current market: spray `burst` identical requests onto
 //         different shards (the cross-shard dedup tier forwards them all to
-//         the ring-home shard — exactly one solve), then push a small batch
-//         through the async submit_batch/harvest API, and print per-shard +
+//         the ring-home shard — exactly one solve), then print per-shard +
 //         aggregate counters with the dedup ledger's verdict
 //   serve [N=4]
 //         start the wire-serving front end (src/net): an N-shard tier under
@@ -74,7 +73,6 @@
 #include "profile/estimator.h"
 #include "profile/paper_profiles.h"
 #include "service/plan_service.h"
-#include "service/sharded/batch.h"
 #include "service/sharded/sharded_service.h"
 
 using namespace sompi;
@@ -419,7 +417,7 @@ int main(int argc, char** argv) {
           });
         for (auto& th : threads) th.join();
 
-        ShardedStats ss = tier.stats();
+        const ShardedStats ss = tier.stats();
         std::printf("→ sprayed %d identical request(s) across %zu shard(s): "
                     "%llu solve(s), %llu join(s), %llu hit(s), %llu forwarded home to "
                     "shard %zu\n",
@@ -432,28 +430,6 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(ss.duplicate_solves),
                     ss.duplicate_solves == 0 ? "exactly-once economy holds" : "VIOLATED");
 
-        // The async batch front door: a few distinct deadlines through
-        // submit_batch, drained, then harvested exactly once each.
-        {
-          AsyncBatchService batch_api(&tier, {.workers = 4, .queue_capacity = 64});
-          std::vector<PlanRequest> requests;
-          for (int i = 0; i < 6; ++i) {
-            PlanRequest r = request;
-            r.deadline_h = request.deadline_h * (1.0 + 0.05 * i);
-            requests.push_back(std::move(r));
-          }
-          batch_api.submit_batch(requests);
-          batch_api.drain();
-          const std::vector<BatchCompletion> done = batch_api.harvest();
-          std::printf("  batch: %zu submitted → %zu completed, outcomes:", requests.size(),
-                      done.size());
-          for (const BatchCompletion& c : done)
-            std::printf(" #%llu=%s", static_cast<unsigned long long>(c.ticket),
-                        c.error.empty() ? outcome_label(c.response.outcome) : "error");
-          std::printf("\n");
-        }
-
-        ss = tier.stats();
         for (std::size_t i = 0; i < tier.shard_count(); ++i) {
           const ServiceStats& sh = ss.per_shard[i];
           std::printf("  shard %zu%s: requests %llu, hits %llu, solves %llu, joins %llu, "

@@ -62,7 +62,8 @@ class PlanClient {
   /// Blocking round trip. Throws std::runtime_error on a wire failure.
   PlanResponse plan(const PlanRequest& request);
 
-  /// Async batch surface, mirroring AsyncBatchService.
+  /// Async batch surface: submit without waiting, then drain() and
+  /// harvest() — every submitted id comes back exactly once.
   std::uint64_t submit(const PlanRequest& request);
   std::vector<std::uint64_t> submit_batch(const std::vector<PlanRequest>& requests);
   /// Finished completions, each exactly once (0 = all available). Non-blocking.

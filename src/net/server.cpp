@@ -1,7 +1,7 @@
 #include "net/server.h"
 
 #include <algorithm>
-#include <chrono>
+#include <exception>
 #include <utility>
 
 #include "common/error.h"
@@ -34,15 +34,11 @@ void fold_codec_delta(WireCodecStats* aggregate, WireCodecStats* folded,
 PlanServerLoop::PlanServerLoop(ShardedPlanService* tier, ServerConfig config)
     : tier_(tier), config_(config) {
   SOMPI_REQUIRE(tier_ != nullptr);
+  SOMPI_REQUIRE(config_.workers >= 1);
   SOMPI_REQUIRE(config_.max_in_flight >= 1);
-  BatchConfig batch;
-  batch.workers = config_.workers;
-  // With queue_capacity >= max_in_flight the submission queue can never be
-  // full while the wire budget admits (queued <= in-flight <= budget), so
-  // submit_on never blocks under the loop mutex.
-  batch.queue_capacity = std::max(config_.queue_capacity, config_.max_in_flight);
-  batch_ = std::make_unique<AsyncBatchService>(tier_, batch);
-  pump_ = std::thread([this] { pump_loop(); });
+  workers_.reserve(config_.workers);
+  for (std::size_t i = 0; i < config_.workers; ++i)
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 PlanServerLoop::~PlanServerLoop() { shutdown(); }
@@ -75,13 +71,7 @@ void PlanServerLoop::reader_loop(Connection* connection) {
   std::uint64_t hit_frames = 0;
   const auto flush_hits = [&] {
     if (hit_bytes.empty()) return;
-    std::lock_guard<std::mutex> lock(connection->write_mutex);
-    // Counter before bytes (everywhere a response goes out): a client that
-    // has observed a response must find it already counted in stats(); a
-    // failed write (chaos drop, closed pipe) nets the count back to zero.
-    responses_sent_.fetch_add(hit_frames, std::memory_order_relaxed);
-    if (!connection->server_end->write(hit_bytes))
-      responses_sent_.fetch_sub(hit_frames, std::memory_order_relaxed);
+    send(connection, hit_bytes, hit_frames);
     hit_bytes.clear();
     hit_frames = 0;
   };
@@ -100,8 +90,8 @@ void PlanServerLoop::reader_loop(Connection* connection) {
           continue;
         }
         // Warm-hit fast path: an epoch-current cached plan is answered
-        // right here in the reader — no in-flight budget, no worker or
-        // pump handoff. Everything else takes the batch path below.
+        // right here in the reader — no in-flight budget, no worker
+        // handoff. Everything else becomes a job for the workers below.
         if (std::optional<PlanResponse> hit =
                 tier_->try_serve_hit(connection->landing_shard, request)) {
           hit_bytes +=
@@ -114,7 +104,7 @@ void PlanServerLoop::reader_loop(Connection* connection) {
         continue;
       }
       // Per-connection order is preserved: a non-plan frame flushes the
-      // batch gathered so far before it is answered.
+      // requests gathered so far before it is answered.
       flush_hits();
       admit_plan_requests(connection, &arrivals);
       on_frame(connection, &decoder, *frame);
@@ -134,33 +124,28 @@ void PlanServerLoop::admit_plan_requests(
   if (arrivals->empty()) return;
   std::size_t admitted = 0;
   {
+    // One lock acquisition and one wakeup for the burst. The budget bounds
+    // the queue, so admission never blocks.
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!draining_) {
-      const std::size_t used = std::min(config_.max_in_flight, in_flight_.size());
-      admitted = std::min(arrivals->size(), config_.max_in_flight - used);
-    }
-    if (admitted > 0) {
-      std::vector<PlanRequest> requests;
-      requests.reserve(admitted);
-      for (std::size_t i = 0; i < admitted; ++i)
-        requests.push_back(std::move((*arrivals)[i].second));
-      // One queue-lock acquisition and one worker wakeup for the burst;
-      // queue_capacity >= max_in_flight keeps this non-blocking under the
-      // loop mutex (see the constructor).
-      const std::vector<std::uint64_t> tickets =
-          batch_->submit_many_on(connection->landing_shard, requests);
-      for (std::size_t i = 0; i < admitted; ++i)
-        in_flight_.emplace(tickets[i], std::make_pair(connection, (*arrivals)[i].first));
-    }
+    if (accepting_) admitted = std::min(arrivals->size(), config_.max_in_flight - in_flight_);
+    for (std::size_t i = 0; i < admitted; ++i)
+      jobs_.push_back(Job{connection, (*arrivals)[i].first, std::move((*arrivals)[i].second)});
+    in_flight_ += admitted;
   }
-  // Whatever exceeded the budget (or arrived while draining) is shed
+  if (admitted == 1)
+    work_cv_.notify_one();
+  else if (admitted > 1)
+    work_cv_.notify_all();
+  // Whatever exceeded the budget (or arrived after shutdown() began) is shed
   // explicitly at the wire door.
   for (std::size_t i = admitted; i < arrivals->size(); ++i) {
     wire_sheds_.fetch_add(1, std::memory_order_relaxed);
     PlanResponse shed;
     shed.outcome = PlanOutcome::kShed;
     shed.epoch = tier_->fanout().epoch();
-    write_response(connection, (*arrivals)[i].first, shed);
+    send(connection,
+         encode_frame(MsgType::kPlanResponse, (*arrivals)[i].first, encode_plan_response(shed)),
+         1);
   }
   arrivals->clear();
 }
@@ -176,13 +161,10 @@ void PlanServerLoop::on_frame(Connection* connection, FrameDecoder* decoder,
         write_error(connection, frame.request_id, "malformed stats_request payload");
         return;
       }
-      const std::string payload = encode_stats_response(stats());
-      const std::string bytes =
-          encode_frame(MsgType::kStatsResponse, frame.request_id, payload);
-      std::lock_guard<std::mutex> lock(connection->write_mutex);
-      responses_sent_.fetch_add(1, std::memory_order_relaxed);
-      if (!connection->server_end->write(bytes))
-        responses_sent_.fetch_sub(1, std::memory_order_relaxed);
+      send(connection,
+           encode_frame(MsgType::kStatsResponse, frame.request_id,
+                        encode_stats_response(stats())),
+           1);
       return;
     }
     case MsgType::kPlanResponse:
@@ -194,108 +176,59 @@ void PlanServerLoop::on_frame(Connection* connection, FrameDecoder* decoder,
   }
 }
 
-void PlanServerLoop::write_response(Connection* connection, std::uint64_t request_id,
-                                    const PlanResponse& response) {
-  const std::string bytes =
-      encode_frame(MsgType::kPlanResponse, request_id, encode_plan_response(response));
+void PlanServerLoop::worker_loop() {
+  for (;;) {
+    Job job;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      work_cv_.wait(lock, [this] { return !accepting_ || !jobs_.empty(); });
+      // Shutdown admits nothing more, so an empty queue stays empty.
+      if (jobs_.empty()) return;
+      job = std::move(jobs_.front());
+      jobs_.pop_front();
+    }
+    try {
+      const PlanResponse response = tier_->serve_on(job.connection->landing_shard, job.request);
+      send(job.connection,
+           encode_frame(MsgType::kPlanResponse, job.request_id, encode_plan_response(response)),
+           1);
+    } catch (const std::exception& e) {
+      write_error(job.connection, job.request_id, e.what());
+    } catch (...) {
+      write_error(job.connection, job.request_id, "unknown solve failure");
+    }
+    // The budget unit is released only once the response is written, so
+    // shutdown's wait for in_flight_ == 0 covers the write too.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--in_flight_ == 0) idle_cv_.notify_all();
+  }
+}
+
+void PlanServerLoop::send(Connection* connection, const std::string& bytes,
+                          std::uint64_t frames) {
   std::lock_guard<std::mutex> lock(connection->write_mutex);
-  responses_sent_.fetch_add(1, std::memory_order_relaxed);
+  // Counter before bytes (everywhere a response goes out): a client that has
+  // observed a response must find it already counted in stats(); a failed
+  // write (chaos drop, closed pipe) nets the count back to zero.
+  responses_sent_.fetch_add(frames, std::memory_order_relaxed);
   if (!connection->server_end->write(bytes))
-    responses_sent_.fetch_sub(1, std::memory_order_relaxed);
+    responses_sent_.fetch_sub(frames, std::memory_order_relaxed);
 }
 
 void PlanServerLoop::write_error(Connection* connection, std::uint64_t request_id,
                                  std::string_view message) {
   wire_errors_.fetch_add(1, std::memory_order_relaxed);
-  const std::string bytes =
-      encode_frame(MsgType::kErrorResponse, request_id, encode_error_response(message));
-  std::lock_guard<std::mutex> lock(connection->write_mutex);
-  responses_sent_.fetch_add(1, std::memory_order_relaxed);
-  if (!connection->server_end->write(bytes))
-    responses_sent_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-std::size_t PlanServerLoop::dispatch_ready(std::chrono::milliseconds wait) {
-  std::vector<BatchCompletion> batch = batch_->harvest_wait(wait);
-  // Straggler gather: on a loaded (or single-core) host the workers and the
-  // pump would otherwise ping-pong one completion at a time. A few bounded
-  // yields let the rest of the burst finish so it ships in the same sweep;
-  // the bound keeps a slow solve from delaying responses already done.
-  if (!batch.empty()) {
-    for (int spin = 0, stale = 0; spin < 16 && stale < 2; ++spin) {
-      std::this_thread::yield();
-      std::vector<BatchCompletion> more = batch_->harvest(0);
-      if (more.empty()) {
-        ++stale;
-        continue;
-      }
-      stale = 0;
-      std::move(more.begin(), more.end(), std::back_inserter(batch));
-    }
-  }
-  // Coalesce: one correlation-lock acquisition and one pipe write (one
-  // reader wakeup) per connection per sweep, not per response — the
-  // difference between the wire and the in-process batch path is thread
-  // handoffs, so the pump amortizes them.
-  std::vector<std::pair<Connection*, std::uint64_t>> routes(batch.size(), {nullptr, 0});
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const auto it = in_flight_.find(batch[i].ticket);
-      if (it == in_flight_.end()) continue;  // unreachable by construction
-      routes[i] = it->second;
-      in_flight_.erase(it);
-    }
-  }
-  struct Outbox {
-    std::string bytes;
-    std::uint64_t frames = 0;
-  };
-  std::unordered_map<Connection*, Outbox> outboxes;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const BatchCompletion& completion = batch[i];
-    Connection* connection = routes[i].first;
-    const std::uint64_t request_id = routes[i].second;
-    if (connection == nullptr) continue;
-    Outbox& box = outboxes[connection];
-    if (!completion.error.empty()) {
-      wire_errors_.fetch_add(1, std::memory_order_relaxed);
-      box.bytes += encode_frame(MsgType::kErrorResponse, request_id,
-                                encode_error_response(completion.error));
-    } else {
-      box.bytes += encode_frame(MsgType::kPlanResponse, request_id,
-                                encode_plan_response(completion.response));
-    }
-    ++box.frames;
-  }
-  for (auto& [connection, box] : outboxes) {
-    std::lock_guard<std::mutex> lock(connection->write_mutex);
-    responses_sent_.fetch_add(box.frames, std::memory_order_relaxed);
-    if (!connection->server_end->write(box.bytes))
-      responses_sent_.fetch_sub(box.frames, std::memory_order_relaxed);
-  }
-  return batch.size();
-}
-
-void PlanServerLoop::pump_loop() {
-  for (;;) {
-    dispatch_ready(std::chrono::milliseconds(50));
-    if (pump_stop_.load(std::memory_order_acquire)) {
-      // The batch is drained by now (shutdown orders it so); one final
-      // non-blocking sweep flushes anything completed since the last pass.
-      dispatch_ready(std::chrono::milliseconds(0));
-      return;
-    }
-  }
+  send(connection,
+       encode_frame(MsgType::kErrorResponse, request_id, encode_error_response(message)), 1);
 }
 
 void PlanServerLoop::shutdown() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!accepting_ && draining_) return;  // second call: already shut down
+    if (!accepting_) return;  // second call: already shut down
     accepting_ = false;
-    draining_ = true;
   }
+  work_cv_.notify_all();  // idle workers exit; busy ones finish the queue
   // 1. Stop intake: readers drain their buffered requests, then exit.
   std::vector<Connection*> connections;
   {
@@ -305,15 +238,16 @@ void PlanServerLoop::shutdown() {
   for (Connection* connection : connections) connection->server_end->shutdown_read();
   for (Connection* connection : connections)
     if (connection->reader.joinable()) connection->reader.join();
-  // 2. Everything admitted finishes solving.
-  batch_->drain();
-  // 3. The pump flushes every completion, then stops — the completeness law:
-  //    each admitted request has its response written before any close.
-  pump_stop_.store(true, std::memory_order_release);
-  if (pump_.joinable()) pump_.join();
-  // 4. Only now do connections close (clients still drain buffered frames).
+  // 2. Everything admitted is answered — the completeness law: the queue is
+  //    empty and no worker holds a job, so each admitted request has its
+  //    response written before any close.
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
+  }
+  // 3. Only now do connections close (clients still drain buffered frames).
   for (Connection* connection : connections) connection->server_end->close();
-  batch_->stop();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 WireTierStats PlanServerLoop::stats() const {

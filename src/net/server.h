@@ -1,54 +1,56 @@
 // PlanServerLoop — the wire-serving front end of the sharded plan tier
 // (DESIGN.md §15).
 //
-//   client ── DuplexPipe ──► per-connection reader ──► AsyncBatchService
-//                                   │ (decode, budget)        │ workers
-//                                   │                         ▼
-//   client ◄── writer mutex ◄── completion pump ◄──── BatchCompletion
+//   client ── DuplexPipe ──► per-connection reader ── warm hit ──► write
+//                                   │ (decode, budget)
+//                                   ▼ miss
+//                              job queue ──► worker: serve_on ──► write
 //
 // One reader thread per connection feeds a FrameDecoder and classifies every
-// frame; a single completion pump harvests the batch service and writes each
-// response to the connection its request arrived on, correlated by the
-// request id the client chose (responses can complete out of submission
-// order — the id is the contract, not ordering). A bounded in-flight budget
-// turns overload into explicit kShed responses at the wire door, before the
-// batch queue, mirroring the tier's own admission control.
+// frame. An epoch-current cached plan is answered inline by the reader; every
+// other plan request becomes a job (connection, client request id, request)
+// on the loop's own queue, and one of `workers` threads serves it and writes
+// the response itself, under the connection's write mutex. Responses are
+// correlated by the request id the client chose and can complete out of
+// submission order — the id is the contract, not ordering. A bounded
+// in-flight budget turns overload into explicit kShed responses at the wire
+// door, mirroring the tier's own admission control.
 //
 // The connection a request arrives on IS its landing shard: requests are
-// submitted with serve_on(connection.landing), so the tier's routed /
-// sprayed / forwarded ledger measures the CLIENT's routing quality — a
-// router-aware client lands every key on its ring home and the forwarding
-// counter stays 0; a spray client pays one forward per misrouted request.
+// served with serve_on(connection.landing), so the tier's routed / sprayed /
+// forwarded ledger measures the CLIENT's routing quality — a router-aware
+// client lands every key on its ring home and the forwarding counter stays
+// 0; a spray client pays one forward per misrouted request.
 //
 // Shutdown obeys the drain-on-shutdown completeness law, tested as such:
-// every request accepted into the batch before shutdown() gets exactly one
-// response frame written before its connection closes. (Reads are shut first,
-// the batch drains, the pump flushes, and only then do connections close.)
+// every request admitted before shutdown() gets exactly one response frame
+// written before its connection closes. (Reads are shut first, the readers
+// join, the queue empties and the last worker finishes its write, and only
+// then do connections close.)
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "net/pipe.h"
 #include "net/wire.h"
-#include "service/sharded/batch.h"
 #include "service/sharded/sharded_service.h"
 
 namespace sompi::net {
 
 struct ServerConfig {
-  /// Worker threads in the underlying AsyncBatchService.
+  /// Worker threads serving the plan requests that miss the cache.
   std::size_t workers = 4;
-  /// Batch submission-queue bound (submit blocks when full, but the wire
-  /// budget below sheds before that can matter in practice).
-  std::size_t queue_capacity = 1024;
-  /// Plan requests admitted but not yet answered, across all connections;
-  /// the next one past this is shed with an explicit kShed response.
+  /// Plan requests admitted but not yet answered, across all connections
+  /// (this also bounds the job queue); the next one past this is shed with
+  /// an explicit kShed response.
   std::size_t max_in_flight = 256;
   /// Per-direction pipe buffer.
   std::size_t pipe_capacity_bytes = 1 << 16;
@@ -87,40 +89,48 @@ class PlanServerLoop {
     std::size_t landing_shard = 0;
     std::unique_ptr<DuplexPipe> pipe;
     PipeEndpoint* server_end = nullptr;  ///< owned by pipe
-    std::mutex write_mutex;              ///< pump and reader both write
+    std::mutex write_mutex;              ///< workers and reader both write
     std::thread reader;
     /// Decoder counters already folded into the loop aggregate (the reader
     /// folds deltas after every chunk, so stats() is live and race-free).
     WireCodecStats folded;
   };
 
+  /// A plan request admitted past the warm-hit probe, awaiting a worker.
+  struct Job {
+    Connection* connection = nullptr;
+    std::uint64_t request_id = 0;  ///< the client's id, echoed in the response
+    PlanRequest request;
+  };
+
   void reader_loop(Connection* connection);
-  void pump_loop();
+  void worker_loop();
   void on_frame(Connection* connection, FrameDecoder* decoder, const WireFrame& frame);
   /// Bulk-admits the plan requests gathered from one read chunk: one budget
-  /// check + one batch enqueue (one worker wakeup) for the whole burst;
+  /// check + one enqueue (one worker wakeup) for the whole burst;
   /// whatever exceeds the in-flight budget is shed explicitly. Clears
   /// `arrivals`.
   void admit_plan_requests(Connection* connection,
                            std::vector<std::pair<std::uint64_t, PlanRequest>>* arrivals);
-  /// Serializes + frames a response and writes it on `connection`.
-  void write_response(Connection* connection, std::uint64_t request_id,
-                      const PlanResponse& response);
+  /// Writes `frames` encoded response frames on `connection`, counting them
+  /// in responses_sent_ before the bytes can reach the peer.
+  void send(Connection* connection, const std::string& bytes, std::uint64_t frames);
   void write_error(Connection* connection, std::uint64_t request_id,
                    std::string_view message);
-  /// Drains every available completion to its connection. Returns the count.
-  std::size_t dispatch_ready(std::chrono::milliseconds wait);
 
   ShardedPlanService* tier_;
   ServerConfig config_;
-  std::unique_ptr<AsyncBatchService> batch_;
 
   mutable std::mutex mutex_;
+  std::condition_variable work_cv_;  ///< workers wait for a job (or shutdown)
+  std::condition_variable idle_cv_;  ///< shutdown waits for in_flight_ == 0
   std::vector<std::unique_ptr<Connection>> connections_;
-  /// ticket → (connection, client request id) for in-flight plan requests.
-  std::unordered_map<std::uint64_t, std::pair<Connection*, std::uint64_t>> in_flight_;
+  std::deque<Job> jobs_;
+  /// Admitted plan requests not yet answered: queued jobs plus the ones a
+  /// worker is serving. Released only after the response is written.
+  std::size_t in_flight_ = 0;
+  /// Cleared once by shutdown(): no more connections, no more admissions.
   bool accepting_ = true;
-  bool draining_ = false;
 
   // Wire counters (tier counters live in the tier).
   std::atomic<std::uint64_t> connections_accepted_{0};
@@ -132,8 +142,7 @@ class PlanServerLoop {
   /// readers fold their decoder's deltas in after every chunk).
   WireCodecStats codec_stats_;
 
-  std::atomic<bool> pump_stop_{false};
-  std::thread pump_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace sompi::net

@@ -22,8 +22,8 @@
 // Admission control bounds the solver: at most max_concurrent_solves
 // optimizer runs execute at once, at most max_queued_solves callers wait for
 // a free slot, and everyone beyond that is shed immediately with
-// PlanOutcome::kShed (or OverloadError from plan_or_throw) so overload
-// surfaces as an explicit signal instead of unbounded queueing.
+// PlanOutcome::kShed so overload surfaces as an explicit signal instead of
+// unbounded queueing.
 #pragma once
 
 #include <atomic>
@@ -46,12 +46,6 @@
 #include "service/request.h"
 
 namespace sompi {
-
-/// Thrown by plan_or_throw when admission control sheds the request.
-class OverloadError : public std::runtime_error {
- public:
-  explicit OverloadError(const std::string& what) : std::runtime_error(what) {}
-};
 
 enum class PlanOutcome {
   kHit,     ///< served from the plan cache
@@ -92,7 +86,7 @@ struct ServiceStats {
   /// least one group (ckpt_policy != "s3") — how often the multi-level
   /// hierarchy actually beat the flat S3 path.
   std::uint64_t multilevel_plans = 0;
-  // Warm-start re-planning (ServiceConfig::warm_replan; DESIGN.md §14). A
+  // Warm-start re-planning (DESIGN.md §14). A
   // *re-plan* is a solve of a scope that already produced a plan — the case
   // an epoch bump used to turn into a full cold solve.
   std::uint64_t replan_count = 0;
@@ -127,14 +121,7 @@ struct ServiceConfig {
   /// a loaded service: parallelism comes from concurrent requests, not from
   /// fanning one solve across the pool.
   OptimizerConfig opt;
-  /// Warm-start re-planning (DESIGN.md §14): epoch bumps trigger an
-  /// incremental re-plan — per-group cost tables are reused from the scope's
-  /// previous solve unless that group's history version moved, and the
-  /// previous plan seeds the branch-and-bound incumbent — instead of a
-  /// cache-drop-and-cold-solve. Plans stay bit-identical to solve() (the
-  /// cold oracle); the knob trades table_store memory for re-plan latency.
-  bool warm_replan = true;
-  /// Byte cap etc. of the warm-start artifact store.
+  /// Byte cap etc. of the warm-start artifact store (DESIGN.md §14).
   CostTableStore::Config table_store;
   /// Test seam: runs on the owning thread right before each optimizer run
   /// with the flight's (canonical key, epoch). Lets tests hold a flight open
@@ -160,17 +147,14 @@ class PlanService {
   /// AND to every joiner of that flight.
   PlanResponse serve(const PlanRequest& request);
 
-  /// Like serve(), but sheds become OverloadError.
-  std::shared_ptr<const Plan> plan_or_throw(const PlanRequest& request);
-
   /// Non-blocking cache probe on an ALREADY-CANONICAL key: if the current
   /// epoch holds a cached plan for it, counts the request as a served hit
   /// and returns it; otherwise returns nullopt WITHOUT touching any counter
   /// — the caller falls through to serve(), which does its own accounting.
   /// Never sheds, joins a flight, or blocks on a solve (injected shed chaos
   /// rolls only on the serve() path). The wire server uses this to answer
-  /// warm hits inline in its reader thread instead of paying the worker and
-  /// pump handoffs.
+  /// warm hits inline in its reader thread instead of paying a worker
+  /// handoff.
   std::optional<PlanResponse> try_cached(const std::string& canonical_key);
 
   /// Eagerly drops cache entries older than every epoch any in-progress
@@ -197,7 +181,7 @@ class PlanService {
   /// store). Public so tests and benches can compare against it.
   Plan solve(const PlanRequest& canonical_request, const Market& market) const;
 
-  /// Counters of the warm-start artifact store (zeroes with warm_replan off).
+  /// Counters of the warm-start artifact store.
   CostTableStore::Stats table_store_stats() const { return table_store_.stats(); }
 
   const ServiceConfig& config() const { return config_; }

@@ -334,32 +334,6 @@ TEST(PlanServiceReplan, ServeRePlansWarmWithExactCountersAndColdIdentity) {
   EXPECT_GE(service.table_store_stats().hits, stats.replan_table_hits);
 }
 
-TEST(PlanServiceReplan, WarmReplanOffFallsBackToColdSolves) {
-  Catalog catalog = paper_catalog();
-  ExecTimeEstimator est;
-  Market market = generate_market(catalog, paper_market_profile(catalog), /*days=*/2.0,
-                                  /*step_hours=*/0.25, /*seed=*/42);
-  MarketBoard board(market);
-  ServiceConfig cfg;
-  cfg.cache = {.shards = 2, .capacity = 8};
-  cfg.opt = tiny_config();
-  cfg.warm_replan = false;
-  PlanService service(&catalog, &est, &board, cfg);
-
-  PlanRequest r;
-  r.app = paper_profile("BT");
-  r.deadline_h = OnDemandSelector(&catalog, &est).baseline(r.app).t_h * 1.5;
-  ASSERT_EQ(service.serve(r).outcome, PlanOutcome::kSolved);
-  board.ingest({});
-  const PlanResponse second = service.serve(r);
-  ASSERT_EQ(second.outcome, PlanOutcome::kSolved);
-  EXPECT_EQ(second.plan->stats.tables_reused, 0u);
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.replan_count, 0u);
-  EXPECT_EQ(stats.replan_table_hits, 0u);
-  EXPECT_EQ(service.table_store_stats().entries, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Feed delta publication: changed ∪ withheld covers the catalog, silent
 // groups' board histories never move, empty deltas bump nothing.

@@ -323,12 +323,11 @@ TEST_F(PlanServiceTest, OverloadShedsInsteadOfQueueingUnboundedly) {
   const PlanResponse shed = service.serve(request(2.0));
   EXPECT_EQ(shed.outcome, PlanOutcome::kShed);
   EXPECT_EQ(shed.plan, nullptr);
-  EXPECT_THROW(service.plan_or_throw(request(2.5)), OverloadError);
 
   release.store(true);
   owner.join();
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.sheds, 2u);
+  EXPECT_EQ(stats.sheds, 1u);
   EXPECT_EQ(stats.solves, 1u);
 
   // Capacity freed: the formerly-shed request now solves fine.

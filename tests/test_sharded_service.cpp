@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,7 +19,6 @@
 #include "feed/pipeline.h"
 #include "feed/tick_source.h"
 #include "profile/paper_profiles.h"
-#include "service/sharded/batch.h"
 
 namespace sompi {
 namespace {
@@ -376,70 +374,6 @@ TEST_F(ShardedServiceTest, FeedPublicationsReachEveryShardAtTheOracleEpoch) {
   }
   EXPECT_EQ(published, tail / cfg.publish_every);
   EXPECT_EQ(tier.duplicate_solves(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// AsyncBatchService: basic semantics (the concurrent completeness stress is
-// in test_sharded_stress.cpp).
-
-TEST_F(ShardedServiceTest, BatchSubmitHarvestReturnsEveryTicketOnce) {
-  ShardedPlanService tier(&catalog_, &est_, market_, tier_config(4));
-  AsyncBatchService batch(&tier, {.workers = 3, .queue_capacity = 16, .spray = true});
-
-  std::vector<PlanRequest> requests;
-  for (int i = 0; i < 12; ++i) requests.push_back(request(1.3 + 0.1 * (i % 3)));
-  const std::vector<std::uint64_t> tickets = batch.submit_batch(requests);
-  ASSERT_EQ(tickets.size(), 12u);
-
-  batch.drain();
-  const std::vector<BatchCompletion> done = batch.harvest();
-  ASSERT_EQ(done.size(), 12u);
-
-  std::set<std::uint64_t> seen;
-  for (const BatchCompletion& c : done) {
-    EXPECT_TRUE(seen.insert(c.ticket).second) << "ticket harvested twice";
-    EXPECT_TRUE(c.error.empty()) << c.error;
-    ASSERT_NE(c.response.plan, nullptr);
-  }
-  for (const std::uint64_t t : tickets) EXPECT_EQ(seen.count(t), 1u);
-
-  EXPECT_TRUE(batch.harvest().empty());  // nothing left behind
-  const AsyncBatchService::Stats stats = batch.stats();
-  EXPECT_EQ(stats.submitted, 12u);
-  EXPECT_EQ(stats.completed, 12u);
-  EXPECT_EQ(stats.harvested, 12u);
-  EXPECT_EQ(stats.errors, 0u);
-  // Three distinct requests over a shared tier: the dedup economy holds end
-  // to end even through the batch front door.
-  EXPECT_EQ(tier.stats().total.solves, 3u);
-  EXPECT_EQ(tier.duplicate_solves(), 0u);
-}
-
-TEST_F(ShardedServiceTest, BatchReportsSolverFailuresAsErrorCompletions) {
-  ShardedPlanService tier(&catalog_, &est_, market_, tier_config(2));
-  AsyncBatchService batch(&tier, {.workers = 2, .queue_capacity = 8});
-
-  PlanRequest bad = request(1.5);
-  bad.allowed_types = {"no-such-type"};  // validation throws inside serve()
-  const std::uint64_t bad_ticket = batch.submit(bad);
-  const std::uint64_t good_ticket = batch.submit(request(1.5));
-
-  batch.drain();
-  const std::vector<BatchCompletion> done = batch.harvest();
-  ASSERT_EQ(done.size(), 2u);
-  for (const BatchCompletion& c : done) {
-    if (c.ticket == bad_ticket) {
-      EXPECT_FALSE(c.error.empty());
-      EXPECT_EQ(c.response.plan, nullptr);
-    } else {
-      EXPECT_EQ(c.ticket, good_ticket);
-      EXPECT_TRUE(c.error.empty());
-      EXPECT_NE(c.response.plan, nullptr);
-    }
-  }
-  EXPECT_EQ(batch.stats().errors, 1u);
-  batch.stop();
-  EXPECT_THROW(batch.submit(request(1.5)), PreconditionError);
 }
 
 }  // namespace

@@ -1,20 +1,19 @@
 // TSan-targeted stress for the sharded plan-serving tier: 8 shards hammered
 // by 8 worker threads mixing ring-routed and sprayed requests while a bumper
 // thread churns the epoch through the tier's one shared board — plus a
-// chaos variant that wipes shard caches mid-flight, and the async batch
-// API's harvest-completeness law under backpressure and shed pressure.
+// chaos variant that wipes shard caches mid-flight. (The exactly-once
+// completeness law for requests entering through the wire door is
+// tests/test_wire_stress.cpp's.)
 //
 // The assertions encode the tier's hard guarantees:
-//   1. no lost wakeups — every request and every batch ticket terminates
-//      (the test hangs, and CI times out, otherwise);
+//   1. no lost wakeups — every request terminates (the test hangs, and CI
+//      times out, otherwise);
 //   2. exactly ONE solve per (canonical request, epoch) tier-wide, counted
 //      at the built-in solve ledger, across sprayed landings and epoch
 //      bumps racing the sweeps (waived only under cache-wipe chaos);
 //   3. every plan handed out is bit-identical (plan_fingerprint) to a fresh
 //      solve against the market that was current at the plan's epoch — wipe
-//      chaos included;
-//   4. every batch ticket is harvested exactly once, whatever mix of hits,
-//      solves, joins and sheds its request produced.
+//      chaos included.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,12 +22,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
 
 #include "profile/paper_profiles.h"
-#include "service/sharded/batch.h"
 #include "service/sharded/sharded_service.h"
 
 namespace sompi {
@@ -184,108 +181,6 @@ TEST_F(ShardedStressTest, SurvivesCacheWipeChaosMidFlight) {
   run_churn(
       tier, [&](int b) { tier.shard(static_cast<std::size_t>(b) % kShards).wipe_cache(); },
       /*expect_one_solve_economy=*/false);
-}
-
-// ---------------------------------------------------------------------------
-// AsyncBatchService: harvest completeness under concurrency.
-
-TEST_F(ShardedStressTest, BatchHarvestsEveryTicketExactlyOnceUnderChurn) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 75;  // 300 submissions through a 32-deep queue
-  ShardedPlanService tier(&catalog_, &est_, market_, stress_config());
-  AsyncBatchService batch(&tier, {.workers = 4, .queue_capacity = 32, .spray = true});
-
-  std::mutex tickets_mutex;
-  std::set<std::uint64_t> submitted;
-  std::atomic<int> live_producers{kProducers};
-
-  std::thread bumper([&] {
-    for (int b = 0; b < kEpochBumps && live_producers.load() > 0; ++b) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      const double price = 0.03 + 0.01 * b;
-      tier.fanout().ingest({PriceUpdate{{0, 0}, {price}}});
-    }
-  });
-
-  // A concurrent harvester drains completions WHILE submissions continue —
-  // exactly-once must hold against partial harvests, not just a final one.
-  std::set<std::uint64_t> harvested;
-  std::atomic<std::uint64_t> double_harvests{0};
-  std::thread harvester([&] {
-    while (live_producers.load() > 0) {
-      for (const BatchCompletion& c : batch.harvest(8))
-        if (!harvested.insert(c.ticket).second) double_harvests.fetch_add(1);
-      std::this_thread::yield();
-    }
-  });
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        const std::uint64_t ticket = batch.submit(request((p + i) % kDistinctRequests));
-        std::lock_guard<std::mutex> lock(tickets_mutex);
-        submitted.insert(ticket);
-      }
-      live_producers.fetch_add(-1);
-    });
-  }
-  for (auto& th : producers) th.join();
-  harvester.join();
-  bumper.join();
-  batch.drain();
-  for (const BatchCompletion& c : batch.harvest())
-    if (!harvested.insert(c.ticket).second) double_harvests.fetch_add(1);
-
-  // Guarantee 4: the harvested set IS the submitted set, exactly once each.
-  EXPECT_EQ(double_harvests.load(), 0u);
-  EXPECT_EQ(harvested, submitted);
-  EXPECT_EQ(submitted.size(), static_cast<std::size_t>(kProducers * kPerProducer));
-
-  const AsyncBatchService::Stats stats = batch.stats();
-  EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kProducers * kPerProducer));
-  EXPECT_EQ(stats.completed, stats.submitted);
-  EXPECT_EQ(stats.harvested, stats.submitted);
-  EXPECT_EQ(stats.errors, 0u);
-  EXPECT_LE(stats.max_queue_depth, 32u);  // backpressure actually bounded the queue
-  EXPECT_EQ(tier.duplicate_solves(), 0u);
-}
-
-TEST_F(ShardedStressTest, BatchHarvestCompletenessHoldsUnderShedPressure) {
-  // A deliberately starved tier: one solve slot, zero queue slots. Many
-  // tickets will shed — every one of them must still come back as a normal
-  // completion, exactly once.
-  ShardedConfig config = stress_config();
-  config.service.max_concurrent_solves = 1;
-  config.service.max_queued_solves = 0;
-  ShardedPlanService tier(&catalog_, &est_, market_, config);
-  AsyncBatchService batch(&tier, {.workers = 6, .queue_capacity = 16});
-
-  constexpr int kSubmissions = 60;
-  std::vector<std::uint64_t> tickets;
-  tickets.reserve(kSubmissions);
-  for (int i = 0; i < kSubmissions; ++i)
-    tickets.push_back(batch.submit(request(i % kDistinctRequests)));
-  batch.drain();
-
-  const std::vector<BatchCompletion> done = batch.harvest();
-  ASSERT_EQ(done.size(), static_cast<std::size_t>(kSubmissions));
-  std::set<std::uint64_t> seen;
-  std::uint64_t sheds = 0;
-  for (const BatchCompletion& c : done) {
-    EXPECT_TRUE(seen.insert(c.ticket).second) << "ticket harvested twice";
-    EXPECT_TRUE(c.error.empty()) << c.error;  // sheds are data, not errors
-    if (c.response.outcome == PlanOutcome::kShed)
-      ++sheds;
-    else
-      EXPECT_NE(c.response.plan, nullptr);
-  }
-  for (const std::uint64_t t : tickets) EXPECT_EQ(seen.count(t), 1u);
-
-  const ShardedStats stats = tier.stats();
-  EXPECT_EQ(stats.total.sheds, sheds);
-  EXPECT_EQ(stats.total.hits + stats.total.solves + stats.total.dedup_joins + sheds,
-            static_cast<std::uint64_t>(kSubmissions));
 }
 
 }  // namespace

@@ -5,10 +5,13 @@
 // shed, or error — nothing lost, nothing duplicated, nothing blocked
 // forever) and the equivalence contract (every plan that does come back is
 // fingerprint-byte-identical to the in-process oracle), with and without
-// seeded connection-drop chaos in the pipes.
+// seeded connection-drop chaos in the pipes — and the completeness law again
+// behind a starved tier (tier sheds come back as plan frames, not errors)
+// and across epoch bumps racing routed and sprayed submissions.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -194,6 +197,125 @@ TEST_F(WireStress, ConnectionDropChaosNeverBreaksTheCompletenessLaw) {
   // zero here would mean the chaos config drowned the test's other half.
   EXPECT_GT(plans_checked.load(), 0u);
   EXPECT_GT(injector.injected_count(), 0u);
+}
+
+TEST_F(WireStress, StarvedTierShedsArriveAsPlanFramesExactlyOnce) {
+  // One shard with one solve slot and zero queue slots: while a solve runs,
+  // every other key sheds INSIDE the tier. The wire budget is roomy, so
+  // every shed is the tier's, and each must still come back as a normal
+  // kShed plan frame, exactly once. Holding each solve a little makes sure
+  // the other workers meet a busy slot.
+  ShardedConfig config = tier_config(1);
+  config.service.max_concurrent_solves = 1;
+  config.service.max_queued_solves = 0;
+  config.service.solve_hook = [](const std::string&, std::uint64_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+  ShardedPlanService tier(&catalog_, &est_, market_, config);
+  PlanServerLoop server(&tier, {.workers = 6, .max_in_flight = 256});
+  PlanClient client(&server, ClientMode::kRouted);
+
+  constexpr std::size_t kSubmissions = 60;
+  const std::vector<double> factors = {1.30, 1.45, 1.60, 1.75};
+  std::vector<PlanRequest> requests;
+  for (std::size_t i = 0; i < kSubmissions; ++i)
+    requests.push_back(request(factors[i % factors.size()]));
+  const std::vector<std::uint64_t> ids = client.submit_batch(requests);
+  client.drain();
+
+  const std::vector<ClientCompletion> done = client.harvest();
+  ASSERT_EQ(done.size(), kSubmissions);
+  std::set<std::uint64_t> seen;
+  std::uint64_t sheds = 0;
+  for (const ClientCompletion& completion : done) {
+    EXPECT_TRUE(seen.insert(completion.request_id).second) << "completed twice";
+    EXPECT_TRUE(completion.error.empty()) << completion.error;  // sheds are data
+    if (completion.response.outcome == PlanOutcome::kShed) {
+      EXPECT_EQ(completion.response.plan, nullptr);
+      ++sheds;
+    } else {
+      EXPECT_NE(completion.response.plan, nullptr);
+    }
+  }
+  for (const std::uint64_t id : ids) EXPECT_EQ(seen.count(id), 1u);
+  EXPECT_GT(sheds, 0u);
+
+  const WireTierStats stats = server.stats();
+  EXPECT_EQ(stats.wire_sheds, 0u);
+  EXPECT_EQ(stats.wire_errors, 0u);
+  EXPECT_EQ(stats.sheds, sheds);
+  EXPECT_EQ(stats.requests, kSubmissions);
+  EXPECT_EQ(stats.hits + stats.solves + stats.dedup_joins + stats.sheds, stats.requests);
+}
+
+TEST_F(WireStress, RoutedAndSprayClientsAreAnsweredExactlyOnceAcrossEpochBumps) {
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kPerClient = 75;
+  constexpr int kBumps = 4;
+  const std::vector<double> factors = {1.30, 1.45, 1.60, 1.75};
+  ShardedPlanService tier(&catalog_, &est_, market_, tier_config(4));
+  // A budget that admits every submission at once: no wire-door sheds.
+  PlanServerLoop server(&tier, {.workers = 4, .max_in_flight = kClients * kPerClient});
+
+  std::vector<std::unique_ptr<PlanClient>> clients;
+  for (std::size_t i = 0; i < kClients; ++i)
+    clients.push_back(std::make_unique<PlanClient>(
+        &server, i % 2 == 0 ? ClientMode::kRouted : ClientMode::kSpray));
+
+  // The bumper paces itself on submission progress, so the bumps land in
+  // the middle of the stream however fast the host runs it.
+  std::atomic<std::size_t> submitted_total{0};
+  std::atomic<std::size_t> live_clients{kClients};
+  std::thread bumper([&] {
+    for (int b = 0; b < kBumps; ++b) {
+      const std::size_t mark = (b + 1) * kClients * kPerClient / (kBumps + 1);
+      while (submitted_total.load() < mark && live_clients.load() > 0)
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      tier.fanout().ingest({PriceUpdate{{0, 0}, {0.03 + 0.01 * b}}});
+    }
+  });
+
+  // Each thread submits through its own client and harvests WHILE it
+  // submits — exactly-once must hold against partial harvests, not just a
+  // final one.
+  std::atomic<int> violations{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kClients);
+  for (std::size_t t = 0; t < kClients; ++t) {
+    threads.emplace_back([&, t] {
+      PlanClient& client = *clients[t];
+      std::set<std::uint64_t> submitted;
+      std::set<std::uint64_t> answered;
+      const auto collect = [&](std::size_t max) {
+        for (const ClientCompletion& completion : client.harvest(max)) {
+          if (!answered.insert(completion.request_id).second) violations.fetch_add(1);
+          if (!completion.error.empty() || completion.response.plan == nullptr)
+            violations.fetch_add(1);
+        }
+      };
+      for (std::size_t i = 0; i < kPerClient; ++i) {
+        submitted.insert(client.submit(request(factors[(t + i) % factors.size()])));
+        submitted_total.fetch_add(1);
+        if (i % 8 == 7) collect(8);
+      }
+      client.drain();
+      collect(0);
+      if (answered != submitted || submitted.size() != kPerClient) violations.fetch_add(1);
+      live_clients.fetch_sub(1);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  bumper.join();
+
+  EXPECT_EQ(violations.load(), 0);
+  const WireTierStats stats = server.stats();
+  EXPECT_EQ(stats.requests, kClients * kPerClient);
+  EXPECT_EQ(stats.epoch, 1u + kBumps);
+  EXPECT_EQ(stats.wire_sheds, 0u);
+  EXPECT_EQ(stats.wire_errors, 0u);
+  // One solve per (canonical request, epoch) tier-wide, across sprayed
+  // landings and epoch bumps racing the submissions.
+  EXPECT_EQ(stats.duplicate_solves, 0u);
 }
 
 }  // namespace
