@@ -52,7 +52,7 @@ void BM_S3SimOverhead(benchmark::State& state) {
   S3Sim s3;
   std::size_t i = 0;
   for (auto _ : state) {
-    const std::string key = "k" + std::to_string(i++ % 64);
+    const std::string key = std::string("k").append(std::to_string(i++ % 64));
     s3.put(key, blob);
     benchmark::DoNotOptimize(s3.get(key));
   }

@@ -1,9 +1,8 @@
 // Feed-pipeline ingestion benchmark (DESIGN.md §10 "Feed pipeline").
-// Streams a replayed market tail through the FeedPipeline three ways — a
-// synchronous single-thread pass, the same pass with windowed re-estimation
-// on every publish, and a 4-producer run through the bounded MPSC queue —
-// and reports sustained ticks/s, the epoch-publication latency percentiles,
-// and the deterministic pipeline counters behind them.
+// Streams a replayed market tail through the FeedPipeline two ways — a
+// synchronous single-thread pass and a 4-producer run through the bounded
+// MPSC queue — and reports sustained ticks/s, the epoch-publication latency
+// percentiles, and the deterministic pipeline counters behind them.
 //
 // Every run cross-checks the determinism contract before reporting: the
 // queued multi-producer pass must land the exact commit digest of the
@@ -51,20 +50,16 @@ struct PassResult {
   std::vector<double> publish_ms;  // per-epoch publication latencies
 };
 
-FeedConfig bench_config(bool estimate) {
+FeedConfig bench_config() {
   FeedConfig cfg;
-  cfg.window_steps = 96;
   cfg.publish_every = 96;  // one publication per simulated day
   cfg.queue_capacity = 1024;
-  cfg.estimate = estimate;
-  cfg.estimation.samples = 256;
-  cfg.estimation.horizon_steps = 64;
   return cfg;
 }
 
-PassResult run_sync(const Market& full, std::size_t visible, bool estimate) {
+PassResult run_sync(const Market& full, std::size_t visible) {
   MarketBoard board(full.window(0, visible));
-  FeedPipeline pipe(&board, bench_config(estimate));
+  FeedPipeline pipe(&board, bench_config());
   const std::size_t len = full.trace({0, 0}).steps();
   ReplayTickSource source(&full, {}, visible, len - visible);
 
@@ -82,7 +77,7 @@ PassResult run_sync(const Market& full, std::size_t visible, bool estimate) {
 
 PassResult run_mpsc(const Market& full, std::size_t visible, std::size_t producers) {
   MarketBoard board(full.window(0, visible));
-  FeedPipeline pipe(&board, bench_config(/*estimate=*/false));
+  FeedPipeline pipe(&board, bench_config());
   const std::size_t len = full.trace({0, 0}).steps();
   const std::vector<CircleGroupSpec> all = full.catalog().all_groups();
 
@@ -120,7 +115,7 @@ int main(int argc, char** argv) {
   const double min_rate = min_rate_arg.empty() ? 0.0 : std::strtod(min_rate_arg.c_str(), nullptr);
 
   bench::banner("feed_throughput",
-                "Streaming tick ingestion: sync vs MPSC queue, with re-estimation");
+                "Streaming tick ingestion: sync vs MPSC queue");
 
   // 60 days of 15-minute ticks across the 15 paper circle groups: the feed
   // replays everything past the 2-day primed prefix, ~83k ticks per pass.
@@ -137,8 +132,7 @@ int main(int argc, char** argv) {
     std::function<PassResult()> run;
   };
   const std::vector<Case> cases = {
-      {"sync/estimate_off", [&] { return run_sync(full, visible, false); }},
-      {"sync/estimate_on", [&] { return run_sync(full, visible, true); }},
+      {"sync", [&] { return run_sync(full, visible); }},
       {"mpsc/p4", [&] { return run_mpsc(full, visible, 4); }},
   };
 
@@ -163,6 +157,8 @@ int main(int argc, char** argv) {
     for (double s : pass_ms) mean_ms += s;
     mean_ms /= static_cast<double>(pass_ms.size());
     const double rate = static_cast<double>(ticks_per_pass) / (mean_ms / 1e3);
+    const double pass_p50 = bench::percentile_nearest_rank(pass_ms, 0.50);
+    const double pass_p99 = bench::percentile_nearest_rank(pass_ms, 0.99);
     const double pub_p50 = bench::percentile_nearest_rank(publish_ms, 0.50);
     const double pub_p99 = bench::percentile_nearest_rank(publish_ms, 0.99);
 
@@ -172,7 +168,7 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(ticks_per_pass));
       ok = false;
     }
-    if (c.name == "sync/estimate_off") sync_digest = last.digest;
+    if (c.name == "sync") sync_digest = last.digest;
     if (c.name == "mpsc/p4") {
       mpsc_rate = rate;
       if (last.digest != sync_digest) {
@@ -182,7 +178,7 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(sync_digest));
         ok = false;
       }
-      if (last.queue_max_depth > bench_config(false).queue_capacity) {
+      if (last.queue_max_depth > bench_config().queue_capacity) {
         std::fprintf(stderr, "FAIL mpsc/p4: queue depth %zu exceeded capacity\n",
                      last.queue_max_depth);
         ok = false;
@@ -198,14 +194,13 @@ int main(int argc, char** argv) {
         {c.name,
          kIters,
          mean_ms,
-         bench::percentile_nearest_rank(pass_ms, 0.50),
-         bench::percentile_nearest_rank(pass_ms, 0.99),
+         pass_p50,
+         pass_p99,
          {{"ticks_per_pass", static_cast<double>(ticks_per_pass)},
           {"ticks_per_sec", rate},
           {"committed_steps", static_cast<double>(last.stats.committed_steps)},
           {"epochs_published", static_cast<double>(last.stats.epochs_published)},
           {"gaps_filled", static_cast<double>(last.stats.gaps_filled)},
-          {"estimates_computed", static_cast<double>(last.stats.estimates_computed)},
           {"publish_p50_ms", pub_p50},
           {"publish_p99_ms", pub_p99},
           {"queue_max_depth", static_cast<double>(last.queue_max_depth)}}});
@@ -225,8 +220,7 @@ int main(int argc, char** argv) {
     // wall clock on a shared runner is noise).
     const auto gated = [](const std::string& key) {
       return key == "ticks_per_pass" || key == "committed_steps" ||
-             key == "epochs_published" || key == "gaps_filled" ||
-             key == "estimates_computed";
+             key == "epochs_published" || key == "gaps_filled";
     };
     if (!bench::counters_match(results, *baseline, check_path, gated, 0)) ok = false;
     if (ok) bench::note("deterministic-counter check passed against " + check_path);

@@ -37,8 +37,8 @@ int main() {
     t.header(header);
   }
   for (std::size_t b = 0; b < days[0].bins(); ++b) {
-    std::vector<std::string> row{"[" + Table::num(days[0].bin_lo(b), 4) + "," +
-                                 Table::num(days[0].bin_hi(b), 4) + ")"};
+    std::vector<std::string> row{std::string("[").append(Table::num(days[0].bin_lo(b), 4)) +
+                                 "," + Table::num(days[0].bin_hi(b), 4) + ")"};
     for (const auto& h : days) row.push_back(Table::num(100.0 * h.density(b), 1));
     t.row(row);
   }

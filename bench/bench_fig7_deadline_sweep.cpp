@@ -44,7 +44,8 @@ int main() {
       }
       if (types.empty()) types = "(on-demand only)";
 
-      t.row({"+" + Table::num(extra, 2), Table::num(stats.cost.mean / env.baseline_cost(app), 3),
+      t.row({std::string("+").append(Table::num(extra, 2)),
+             Table::num(stats.cost.mean / env.baseline_cost(app), 3),
              Table::num(stats.cost.stddev / env.baseline_cost(app), 3),
              Table::num(100.0 * stats.deadline_miss_rate, 0) + "%", types});
     }

@@ -90,7 +90,6 @@ void BM_ThreadSweep(benchmark::State& state) {
   cfg.setup.log_levels = 8;
   const auto threads = static_cast<unsigned>(state.range(0));
   cfg.threads = threads;
-  cfg.setup.failure.threads = threads;
 
   const AppProfile bt = paper_profile("BT");
   const double deadline = env().deadline(bt, /*loose=*/true);

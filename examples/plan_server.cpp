@@ -14,8 +14,8 @@
 //         replay the next steps through the streaming feed pipeline
 //         (src/feed): ticks flow through the bounded MPSC queue when
 //         producers > 1, commit through the resolution frontier, and publish
-//         epoch batches with windowed re-estimation — the live-ingestion
-//         path, where tick is the hand-rolled batch one
+//         epoch batches — the live-ingestion path, where tick is the
+//         hand-rolled batch one
 //   platform [<file>|example] [APP]
 //         load and inspect a declarative platform file (src/platform):
 //         parse counters, host/link/zone tables, and the per-(type, zone)
@@ -333,8 +333,6 @@ int main(int argc, char** argv) {
         // feed commands resume exactly where the last one (or tick) stopped.
         feed::FeedConfig fcfg;
         fcfg.publish_every = 4;
-        fcfg.estimation.samples = 128;
-        fcfg.estimation.horizon_steps = 32;
         feed::FeedPipeline pipe(&board, fcfg);
         if (producers == 1) {
           feed::ReplayTickSource source(&full, {}, cursor, steps);

@@ -17,8 +17,7 @@ class StateWriter {
   template <typename T>
   void write(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto* p = reinterpret_cast<const std::byte*>(&value);
-    buf_.insert(buf_.end(), p, p + sizeof(T));
+    append(&value, sizeof(T));
   }
 
   template <typename T>
@@ -26,14 +25,19 @@ class StateWriter {
     static_assert(std::is_trivially_copyable_v<T>);
     write<std::uint64_t>(values.size());
     if (values.empty()) return;  // .data() may be null for an empty vector
-    const auto* p = reinterpret_cast<const std::byte*>(values.data());
-    buf_.insert(buf_.end(), p, p + values.size() * sizeof(T));
+    append(values.data(), values.size() * sizeof(T));
   }
 
   std::vector<std::byte> take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }
 
  private:
+  void append(const void* bytes, std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, bytes, n);
+  }
+
   std::vector<std::byte> buf_;
 };
 

@@ -7,7 +7,9 @@
 // a histogram-based way: start from G random points in the recent history,
 // record when the price first exceeds P, and normalize the counts. One pass
 // of the running maximum per sampled start point yields the first-passage
-// time for EVERY candidate bid simultaneously.
+// time for EVERY candidate bid simultaneously. A run that reaches the end of
+// the history wraps around to its start, so a start point near the end still
+// scans a full horizon.
 #pragma once
 
 #include <cstddef>
@@ -26,14 +28,6 @@ struct FailureEstimationConfig {
   std::size_t horizon_steps = 400;
   /// Deterministic seed for the start-point sampler.
   std::uint64_t seed = 0x50C1A1;
-  /// Wrap around the history window when a sampled run hits its end.
-  bool wrap = true;
-  /// Worker threads for the first-passage scans: 0 = hardware concurrency,
-  /// 1 = serial. Start points come from one sequential stream regardless,
-  /// and per-chunk failure counts are merged in chunk order, so the fitted
-  /// curves are bit-identical at any thread count (and to the pre-parallel
-  /// estimator).
-  unsigned threads = 1;
 };
 
 class FailureModel {

@@ -72,7 +72,6 @@ std::uint64_t replan_config_hash(const OptimizerConfig& config, const AppProfile
   hash_mix(h, config.setup.failure.samples);
   hash_mix(h, config.setup.failure.horizon_steps);
   hash_mix(h, config.setup.failure.seed);
-  hash_mix(h, config.setup.failure.wrap ? 1 : 0);
   // Search knobs that shape artifact content.
   hash_mix(h, config.ratio_bins);
   hash_mix(h, static_cast<std::uint64_t>(config.phi_mode));

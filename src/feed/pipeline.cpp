@@ -12,7 +12,6 @@ namespace sompi::feed {
 FeedPipeline::FeedPipeline(MarketBoard* board, FeedConfig config)
     : board_(board), config_(config) {
   SOMPI_REQUIRE(board_ != nullptr);
-  SOMPI_REQUIRE(config_.window_steps > 0);
   SOMPI_REQUIRE(config_.publish_every > 0);
   SOMPI_REQUIRE(config_.late_horizon >= 1);
   SOMPI_REQUIRE(config_.queue_capacity > 0);
@@ -31,7 +30,6 @@ FeedPipeline::FeedPipeline(MarketBoard* board, FeedConfig config)
   for (std::size_t t = 0; t < catalog.types().size(); ++t)
     for (std::size_t z = 0; z < zones_; ++z)
       base_step_ = std::max<std::uint64_t>(base_step_, market.trace({t, z}).steps());
-  step_hours_ = market.trace({0, 0}).step_hours();
   groups_.reserve(group_count_);
   for (std::size_t t = 0; t < catalog.types().size(); ++t) {
     for (std::size_t z = 0; z < zones_; ++z) {
@@ -41,9 +39,6 @@ FeedPipeline::FeedPipeline(MarketBoard* board, FeedConfig config)
       g.group = spec;
       g.know = base_step_;
       g.last_value = trace.empty() ? 0.0 : trace.price(trace.steps() - 1);
-      const std::size_t prime = std::min<std::size_t>(config_.window_steps, trace.steps());
-      g.window_trace = prime > 0 ? trace.window(trace.steps() - prime, prime)
-                                 : SpotTrace(step_hours_, {});
       groups_.push_back(std::move(g));
     }
   }
@@ -134,12 +129,6 @@ void FeedPipeline::commit_ready_locked() {
         ++stats_.committed_values;
         ++g.accum_real;
       }
-      g.window_trace.append(price);
-      // Amortized trim: rebuild to the trailing window only when the trace
-      // has doubled, keeping the per-commit append O(1) amortized.
-      if (g.window_trace.steps() > 2 * config_.window_steps)
-        g.window_trace = g.window_trace.window(
-            g.window_trace.steps() - config_.window_steps, config_.window_steps);
       g.publish_accum.push_back(price);
       mix(step);
       mix(ordinal);
@@ -184,7 +173,6 @@ void FeedPipeline::publish_batch_locked() {
   }
   const std::uint64_t epoch = board_->ingest(updates);
   ++stats_.epochs_published;
-  if (config_.estimate) estimate_locked(epoch);
 
   PublishRecord record;
   record.epoch = epoch;
@@ -199,36 +187,6 @@ void FeedPipeline::publish_batch_locked() {
     mix(group_ordinal(spec, zones_));
   publish_log_.push_back(std::move(record));
   rows_in_batch_ = 0;
-}
-
-void FeedPipeline::estimate_locked(std::uint64_t epoch) {
-  FeedEstimates out;
-  out.epoch = epoch;
-  out.window_end_step = base_step_ + stats_.committed_steps;
-  out.groups.reserve(groups_.size());
-  for (const GroupState& g : groups_) {
-    GroupEstimate est;
-    est.group = g.group;
-    const std::size_t len = g.window_trace.steps();
-    const std::size_t want = std::min<std::size_t>(config_.window_steps, len);
-    if (want > 0) {
-      const SpotTrace win = g.window_trace.window(len - want, want);
-      est.window_max_price = win.max_price();
-      if (est.window_max_price > 0.0) {
-        est.bids = logarithmic_bid_grid(est.window_max_price, config_.estimate_bid_levels);
-        const FailureModel model(win, est.bids, config_.estimation);
-        est.expected_price.reserve(est.bids.size());
-        est.mtbf_steps.reserve(est.bids.size());
-        for (std::size_t b = 0; b < est.bids.size(); ++b) {
-          est.expected_price.push_back(model.expected_price(b));
-          est.mtbf_steps.push_back(model.mtbf(b));
-        }
-        ++stats_.estimates_computed;
-      }
-    }
-    out.groups.push_back(std::move(est));
-  }
-  estimates_ = std::move(out);
 }
 
 void FeedPipeline::start() {
@@ -330,11 +288,6 @@ std::uint64_t FeedPipeline::commit_digest() const {
 std::vector<PublishRecord> FeedPipeline::publish_log() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return publish_log_;
-}
-
-FeedEstimates FeedPipeline::latest_estimates() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return estimates_;
 }
 
 std::uint64_t FeedPipeline::frontier_step() const {

@@ -1,5 +1,5 @@
-// FeedPipeline — streaming spot-price ingestion driving windowed
-// re-estimation and epoch publication (DESIGN.md §10).
+// FeedPipeline — streaming spot-price ingestion driving epoch publication
+// (DESIGN.md §10).
 //
 // Ticks flow in from any mix of sources — synchronously (ingest/offer) or
 // through a bounded MPSC queue with a consumer thread (start/enqueue/stop) —
@@ -11,8 +11,9 @@
 //     past it;
 //   * a market row commits when EVERY group has resolved it; every
 //     `publish_every` committed rows the batch is ingested into the
-//     MarketBoard as one atomic epoch bump, and the per-group failure /
-//     expected-price statistics are re-estimated over the trailing window;
+//     MarketBoard as one atomic epoch bump. The feed estimates nothing:
+//     failure curves are fitted from the board's history when a plan is
+//     made (SetupBuilder -> FailureModel);
 //   * publication is *delta-precise*: only groups with at least one real
 //     tick in the batch publish their column (all-gap columns are withheld —
 //     a group that heard nothing must not have its board history move, or
@@ -24,9 +25,9 @@
 // Determinism: a group's resolved column is a pure function of that group's
 // post-chaos tick stream (plus late_horizon and the primed last value) —
 // never of cross-group arrival interleaving — so the committed price matrix,
-// the epoch publication sequence, the re-estimated statistics, and the
-// commit digest are bit-identical at any producer count, with or without a
-// ChaosTickSource in front, for the same underlying streams.
+// the epoch publication sequence and the commit digest are bit-identical at
+// any producer count, with or without a ChaosTickSource in front, for the
+// same underlying streams.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +38,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/failure_model.h"
 #include "feed/tick.h"
 #include "feed/tick_queue.h"
 #include "service/market_board.h"
@@ -45,9 +45,6 @@
 namespace sompi::feed {
 
 struct FeedConfig {
-  /// Trailing steps kept per group for re-estimation (the adaptive loop's
-  /// lookback, in steps).
-  std::size_t window_steps = 96;
   /// Committed rows per epoch publication (the feed's T_m granularity).
   std::size_t publish_every = 16;
   /// Steps a group's stream may run ahead of an unresolved step before that
@@ -56,12 +53,6 @@ struct FeedConfig {
   std::size_t late_horizon = 3;
   /// Bounded queue capacity for the concurrent mode.
   std::size_t queue_capacity = 1024;
-  /// Re-estimate failure statistics on every publish.
-  bool estimate = true;
-  /// Bid levels of the per-group logarithmic grid used for estimates.
-  std::size_t estimate_bid_levels = 6;
-  /// Estimator knobs — deliberately small: this runs on the hot publish path.
-  FailureEstimationConfig estimation = {.samples = 256, .horizon_steps = 64};
 };
 
 /// Monotonic pipeline counters. After flush() the conservation laws hold:
@@ -75,7 +66,10 @@ struct FeedStats {
   std::uint64_t gaps_filled = 0;         ///< steps committed by carry-forward
   std::uint64_t committed_steps = 0;     ///< full market rows committed
   std::uint64_t epochs_published = 0;
-  std::uint64_t estimates_computed = 0;  ///< per-group estimate recomputations
+  /// Always 0: the feed estimates no failure statistics — a plan fits them
+  /// from the board's history when it is made. Kept because stats readers
+  /// outside the library (the end-to-end benchmark's ledger) report it.
+  std::uint64_t estimates_computed = 0;
   /// All-gap group columns dropped from a batch (the group saw no real tick
   /// in the batch, so its board history must not move).
   std::uint64_t columns_withheld = 0;
@@ -93,31 +87,16 @@ struct PublishRecord {
   /// together with it covers the full catalog (the conservation law the
   /// delta tests assert). Never empty: an empty delta suppresses the batch.
   std::vector<CircleGroupSpec> changed_groups;
-  /// Wall seconds spent in board ingest + re-estimation (monitoring only —
-  /// never part of the commit digest).
+  /// Wall seconds spent assembling the batch and ingesting it into the board
+  /// (monitoring only — never part of the commit digest).
   double publish_seconds = 0.0;
-};
-
-/// Windowed failure/price statistics for one group, re-estimated per epoch.
-struct GroupEstimate {
-  CircleGroupSpec group;
-  double window_max_price = 0.0;       ///< H_i over the trailing window
-  std::vector<double> bids;            ///< logarithmic grid over (0, H_i]
-  std::vector<double> expected_price;  ///< S_i(P) per bid
-  std::vector<double> mtbf_steps;      ///< mean time before failure per bid
-};
-
-struct FeedEstimates {
-  std::uint64_t epoch = 0;          ///< board epoch these were computed for
-  std::uint64_t window_end_step = 0;
-  std::vector<GroupEstimate> groups;
 };
 
 class FeedPipeline {
  public:
   /// `board` is borrowed and must outlive the pipeline. The board's current
   /// market primes the timeline: its length is the first feed step and its
-  /// trailing `window_steps` prime the estimation windows. A sharded serving
+  /// last prices seed the gap-fill carry. A sharded serving
   /// tier is fed the same way, through its one board
   /// (ShardedPlanService::fanout()), which every shard plans against.
   FeedPipeline(MarketBoard* board, FeedConfig config);
@@ -164,7 +143,6 @@ class FeedPipeline {
   /// every published (epoch, end_step): the determinism gate's fingerprint.
   std::uint64_t commit_digest() const;
   std::vector<PublishRecord> publish_log() const;
-  FeedEstimates latest_estimates() const;
   const FeedConfig& config() const { return config_; }
   /// Absolute market steps committed so far (base + committed_steps).
   std::uint64_t frontier_step() const;
@@ -177,7 +155,6 @@ class FeedPipeline {
     std::map<std::uint64_t, double> pending;  ///< unresolved observations
     std::deque<std::pair<double, bool>> buf;  ///< resolved, uncommitted (price, is_gap)
     double last_value = 0.0;              ///< gap-fill carry
-    SpotTrace window_trace;               ///< trailing window for estimation
     std::vector<double> publish_accum;    ///< committed, unpublished prices
     std::uint64_t accum_real = 0;         ///< real (non-gap) values in accum
   };
@@ -186,7 +163,6 @@ class FeedPipeline {
   void resolve_group_locked(GroupState& g);
   void commit_ready_locked();
   void publish_batch_locked();
-  void estimate_locked(std::uint64_t epoch);
   void mix(std::uint64_t value);
 
   MarketBoard* board_;
@@ -194,7 +170,6 @@ class FeedPipeline {
   std::size_t zones_ = 0;
   std::size_t group_count_ = 0;
   std::uint64_t base_step_ = 0;   ///< board market length at construction
-  double step_hours_ = 1.0;
 
   mutable std::mutex mutex_;      ///< guards everything below
   std::vector<GroupState> groups_;
@@ -202,7 +177,6 @@ class FeedPipeline {
   std::uint64_t digest_ = 0x5eedf00d9e3779b9ULL;
   std::uint64_t rows_in_batch_ = 0;
   std::vector<PublishRecord> publish_log_;
-  FeedEstimates estimates_;
   TickQueue::Stats last_queue_stats_;
 
   std::unique_ptr<TickQueue> queue_;

@@ -92,7 +92,9 @@ TEST_F(AdaptiveTest, MaintenanceOffReusesInitialPlan) {
   // Only the first window pays optimization cost.
   const AdaptiveEngine with_mt(&catalog_, &est_, fast_config());
   const AdaptiveResult r_mt = with_mt.run(bt_, oracle, 48.0, deadline);
-  if (r_mt.windows > 1) EXPECT_GT(r_mt.model_evaluations, r.model_evaluations);
+  if (r_mt.windows > 1) {
+    EXPECT_GT(r_mt.model_evaluations, r.model_evaluations);
+  }
 }
 
 TEST_F(AdaptiveTest, MonteCarloAdaptiveStats) {

@@ -166,7 +166,9 @@ TEST(Checkpointer, HasSnapshotProbesWithoutDownloading) {
     w.write<int>(comm.rank());
     ck.save(comm, w.take());
     EXPECT_TRUE(ck.has_snapshot(comm));
-    if (comm.rank() == 0) EXPECT_TRUE(ck.has_snapshot());
+    if (comm.rank() == 0) {
+      EXPECT_TRUE(ck.has_snapshot());
+    }
   });
   // Both probes (cold and warm) together moved zero payload bytes.
   EXPECT_EQ(store.bytes_downloaded(), 0u);

@@ -101,6 +101,42 @@ TEST(FailureModel, EstimationIsDeterministicForSeed) {
   }
 }
 
+TEST(FailureModel, ShorterHorizonIsABitExactPrefixOfALongerOne) {
+  // A first-passage count at step t never depends on how far past t the scan
+  // runs, so a model fitted to horizon H must agree bit for bit with one fitted
+  // to H' > H (same trace, bids, samples and seed) on every t <= H. The second
+  // trace exceeds the low bid only at step 0, so every failure after step 0
+  // comes from a run that wrapped past the end of the history.
+  Rng rng(11);
+  const SpotTrace spiky =
+      generate_trace(regime_params_for(VolatilityClass::kSpiky, 0.05), 300, 0.25, rng);
+  std::vector<double> wrap_prices(40, 0.05);
+  wrap_prices[0] = 1.0;
+  const SpotTrace wrap_only(0.25, wrap_prices);
+
+  const struct {
+    const SpotTrace* trace;
+    std::vector<double> bids;
+    std::size_t h, h_long;
+  } cases[] = {
+      {&spiky, logarithmic_bid_grid(spiky.max_price(), 7), 120, 400},
+      {&wrap_only, {0.1, 2.0}, 30, 100},
+  };
+  for (const auto& c : cases) {
+    const FailureModel short_fm(*c.trace, c.bids, config(2000, c.h));
+    const FailureModel long_fm(*c.trace, c.bids, config(2000, c.h_long));
+    for (std::size_t b = 0; b < c.bids.size(); ++b) {
+      EXPECT_EQ(short_fm.expected_price(b), long_fm.expected_price(b)) << "bid " << b;
+      for (std::size_t t = 0; t <= c.h; ++t)
+        EXPECT_EQ(short_fm.survival(b, t), long_fm.survival(b, t)) << "bid " << b << " t " << t;
+    }
+  }
+
+  const FailureModel wrapped(wrap_only, {0.1, 2.0}, config(2000, 30));
+  EXPECT_LT(wrapped.survival(0, 30), wrapped.survival(0, 2));  // wrapped runs failed
+  EXPECT_EQ(FailureModel(wrap_only, {0.1, 2.0}, config(2000, 100)).survival(0, 40), 0.0);
+}
+
 TEST(FailureModel, TrainTestStability) {
   // §5.4.1: the failure-rate function estimated on 3 days predicts the 4th
   // day well. Train on the first 3/4, test on the last 1/4 of one long

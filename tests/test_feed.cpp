@@ -1,5 +1,5 @@
 // Feed-pipeline tests: queue semantics, source determinism, the per-group
-// resolution frontier, windowed re-estimation, epoch publication into the
+// resolution frontier, epoch publication into the
 // serving layer, and the determinism gate (producer count and chaos are
 // invisible in the committed bits). Concurrent suites are named FeedStress*
 // so the TSan CI slice picks them up.
@@ -262,10 +262,8 @@ struct TinyWorld {
 
   FeedConfig config() const {
     FeedConfig c;
-    c.window_steps = 4;
     c.publish_every = 2;
     c.late_horizon = 3;
-    c.estimate = false;
     return c;
   }
 };
@@ -323,7 +321,7 @@ TEST(FeedPipeline, DropsStragglersAndDuplicates) {
   EXPECT_EQ(snap.market->trace({0, 0}).price(3), 4.0);
 }
 
-TEST(FeedPipeline, PublishesEpochBatchesAndReEstimates) {
+TEST(FeedPipeline, PublishesEpochBatchesThatBitMatchTheRecordedMarket) {
   const Catalog catalog = paper_catalog();
   const Market full =
       generate_market(catalog, paper_market_profile(catalog), 1.0, 0.25, 21);
@@ -333,10 +331,7 @@ TEST(FeedPipeline, PublishesEpochBatchesAndReEstimates) {
   const std::uint64_t epoch0 = board.epoch();
 
   FeedConfig cfg;
-  cfg.window_steps = 32;
   cfg.publish_every = 8;
-  cfg.estimation.samples = 64;
-  cfg.estimation.horizon_steps = 16;
   FeedPipeline pipe(&board, cfg);
   ReplayTickSource source(&full, {}, visible, len - visible);
   pipe.ingest(source);
@@ -346,6 +341,7 @@ TEST(FeedPipeline, PublishesEpochBatchesAndReEstimates) {
   const std::size_t tail = len - visible;
   EXPECT_EQ(s.committed_steps, tail);
   EXPECT_EQ(s.gaps_filled, 0u);
+  EXPECT_EQ(s.estimates_computed, 0u);  // plans estimate; the feed never does
   const std::size_t batches = (tail + cfg.publish_every - 1) / cfg.publish_every;
   EXPECT_EQ(s.epochs_published, batches);
   EXPECT_EQ(board.epoch(), epoch0 + batches);
@@ -361,22 +357,6 @@ TEST(FeedPipeline, PublishesEpochBatchesAndReEstimates) {
   for (const CircleGroupSpec& g : catalog.all_groups())
     for (std::size_t i = 0; i < len; ++i)
       ASSERT_EQ(snap.market->trace(g).price(i), full.trace(g).price(i));
-
-  // Re-estimation ran for every group at the final epoch, over the window.
-  const feed::FeedEstimates est = pipe.latest_estimates();
-  EXPECT_EQ(est.epoch, board.epoch());
-  EXPECT_EQ(est.window_end_step, len);
-  ASSERT_EQ(est.groups.size(), catalog.all_groups().size());
-  EXPECT_EQ(s.estimates_computed, batches * est.groups.size());
-  for (const feed::GroupEstimate& e : est.groups) {
-    const SpotTrace win = snap.market->trace(e.group).window(len - cfg.window_steps,
-                                                             cfg.window_steps);
-    EXPECT_EQ(e.window_max_price, win.max_price());
-    ASSERT_EQ(e.bids.size(), e.expected_price.size());
-    ASSERT_EQ(e.bids.size(), e.mtbf_steps.size());
-    for (std::size_t b = 0; b < e.bids.size(); ++b)
-      EXPECT_EQ(e.expected_price[b], win.mean_below(e.bids[b]));
-  }
 }
 
 // --- Determinism gate: producer count and queueing are invisible. -----------
@@ -389,11 +369,8 @@ TEST(FeedStressPipeline, MultiProducerRunIsBitIdenticalToSync) {
   const std::size_t visible = len / 2;
 
   FeedConfig cfg;
-  cfg.window_steps = 24;
   cfg.publish_every = 8;
   cfg.queue_capacity = 16;  // small: force real backpressure
-  cfg.estimation.samples = 64;
-  cfg.estimation.horizon_steps = 16;
 
   MarketBoard board_sync(full.window(0, visible));
   FeedPipeline sync(&board_sync, cfg);
@@ -438,9 +415,7 @@ TEST(FeedStressPipeline, ChaosDecoratedShardsStayDeterministic) {
   plan.p_tick_late = 0.15;
 
   FeedConfig cfg;
-  cfg.window_steps = 24;
   cfg.publish_every = 8;
-  cfg.estimate = false;
   const std::vector<CircleGroupSpec> all = catalog.all_groups();
 
   std::uint64_t first_digest = 0;
@@ -510,7 +485,6 @@ TEST(FeedService, EpochPublicationInvalidatesThePlanCache) {
   // so the cached plan silently stops matching — no explicit invalidation.
   FeedConfig fcfg;
   fcfg.publish_every = 8;
-  fcfg.estimate = false;
   FeedPipeline pipe(&board, fcfg);
   ReplayTickSource source(&full, {}, visible, len - visible);
   pipe.ingest(source);
@@ -562,7 +536,6 @@ TEST(FeedService, FeedDrivenAdaptiveMatchesTraceReplayBitwise) {
   MarketBoard board(full.window(0, visible));
   FeedConfig fcfg;
   fcfg.publish_every = 1;
-  fcfg.estimate = false;
   FeedPipeline pipe(&board, fcfg);
   ReplayTickSource source(&full, {}, visible, len - visible);
   AdaptiveConfig feed_cfg = acfg;

@@ -36,7 +36,7 @@ class LiveTest : public ::testing::Test {
                          double bid) {
     GroupPlan g;
     g.spec = {type, zone};
-    g.name = "g" + std::to_string(type) + std::to_string(zone);
+    g.name = std::string("g").append(std::to_string(type)).append(std::to_string(zone));
     g.instances = 2;
     g.t_steps = t_steps;
     g.o_steps = 0.1;

@@ -344,10 +344,8 @@ TEST(FeedDeltaConservation, ChangedAndWithheldColumnsPartitionEveryBatch) {
   MarketBoard board{Market(&catalog, {SpotTrace(1.0, {1.0, 2.0}),
                                       SpotTrace(1.0, {1.0, 2.0})})};
   feed::FeedConfig cfg;
-  cfg.window_steps = 4;
   cfg.publish_every = 2;
   cfg.late_horizon = 3;
-  cfg.estimate = false;
   feed::FeedPipeline pipe(&board, cfg);
 
   const auto tick = [](std::uint64_t step, std::size_t zone, double price) {

@@ -200,6 +200,7 @@ TEST_F(ServiceStressTest, RapidEpochChurnNeverServesStalePlans) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> stale_served{0};
   std::atomic<std::uint64_t> lookups_done{0};
+  std::atomic<int> workers_running{0};
 
   std::vector<std::thread> workers;
   for (int w = 0; w < kWorkers; ++w) {
@@ -214,12 +215,15 @@ TEST_F(ServiceStressTest, RapidEpochChurnNeverServesStalePlans) {
         } else {
           cache.insert(key, epoch, make_plan(epoch));
         }
-        ++local;
+        if (++local == 1) workers_running.fetch_add(1);
       }
       lookups_done.fetch_add(local, std::memory_order_relaxed);
     });
   }
 
+  // Churn only once every worker is looking up: on a loaded host the 200
+  // bumps can otherwise finish before any worker thread is scheduled.
+  while (workers_running.load() < kWorkers) std::this_thread::yield();
   for (int i = 0; i < kChurnPublishes; ++i) {
     board.ingest({});  // epoch bump
     cache.erase_older_than(board.epoch());

@@ -86,7 +86,9 @@ TEST(ShardRouter, RemovingAShardIsTheMirrorImage) {
   const ShardRouter seven({.shards = 7, .vnodes = 64, .salt = 3});
   for (const std::string& key : keys) {
     // Keys not owned by the removed shard (id 7) must not move at all.
-    if (eight.route(key) != 7) EXPECT_EQ(seven.route(key), eight.route(key)) << key;
+    if (eight.route(key) != 7) {
+      EXPECT_EQ(seven.route(key), eight.route(key)) << key;
+    }
   }
 }
 
@@ -170,14 +172,21 @@ class ShardedServiceTest : public ::testing::Test {
     // Three epochs, six distinct requests, repeats for hits, sprays landing
     // on deliberately wrong shards — every outcome class except shed.
     return {
-        {Step::kServe, 1.3}, {Step::kServe, 1.5},  {Step::kSpray, 1.3, 3},
-        {Step::kServe, 1.7}, {Step::kSpray, 1.5, 5}, {Step::kServe, 1.3},
-        {Step::kBump, 0, 0, {0.021, 0.027}},
-        {Step::kServe, 1.3}, {Step::kSpray, 1.7, 1}, {Step::kServe, 1.9},
-        {Step::kSpray, 1.9, 6}, {Step::kServe, 1.5},
-        {Step::kBump, 0, 0, {0.024}},
-        {Step::kSpray, 1.3, 2}, {Step::kServe, 1.9}, {Step::kServe, 1.3},
+        serve(1.3), serve(1.5),    spray(1.3, 3),
+        serve(1.7), spray(1.5, 5), serve(1.3),
+        bump({0.021, 0.027}),
+        serve(1.3), spray(1.7, 1), serve(1.9),
+        spray(1.9, 6), serve(1.5),
+        bump({0.024}),
+        spray(1.3, 2), serve(1.9), serve(1.3),
     };
+  }
+  static Step serve(double factor) { return {Step::kServe, factor, 0, {}}; }
+  static Step spray(double factor, std::size_t landing) {
+    return {Step::kSpray, factor, landing, {}};
+  }
+  static Step bump(std::vector<double> prices) {
+    return {Step::kBump, 0, 0, std::move(prices)};
   }
 
   Catalog catalog_ = paper_catalog();
@@ -344,7 +353,6 @@ TEST_F(ShardedServiceTest, FeedPublicationsReachEveryShardAtTheOracleEpoch) {
   ShardedPlanService oracle(&catalog_, &est_, primed, tier_config(1));
   feed::FeedConfig cfg;
   cfg.publish_every = 4;
-  cfg.estimate = false;
   feed::FeedPipeline tier_feed(&tier.fanout(), cfg);
   feed::FeedPipeline oracle_feed(&oracle.fanout(), cfg);
 
