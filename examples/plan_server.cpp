@@ -12,10 +12,10 @@
 //         ingest the next pre-generated market steps and bump the epoch
 //   feed <steps> [producers=1]
 //         replay the next steps through the streaming feed pipeline
-//         (src/feed): ticks flow through the bounded MPSC queue when
-//         producers > 1, commit through the resolution frontier, and publish
-//         epoch batches — the live-ingestion path, where tick is the
-//         hand-rolled batch one
+//         (src/feed): with producers > 1 each producer thread offer()s
+//         its own group shard; ticks commit through the resolution
+//         frontier and publish epoch batches — the live-ingestion path,
+//         where tick is the hand-rolled batch one
 //   platform [<file>|example] [APP]
 //         load and inspect a declarative platform file (src/platform):
 //         parse counters, host/link/zone tables, and the per-(type, zone)
@@ -339,7 +339,6 @@ int main(int argc, char** argv) {
           pipe.ingest(source);
         } else {
           const std::vector<CircleGroupSpec> all = catalog.all_groups();
-          pipe.start();
           std::vector<std::thread> threads;
           for (std::size_t p = 0; p < producers; ++p)
             threads.emplace_back([&, p] {
@@ -347,10 +346,9 @@ int main(int argc, char** argv) {
               for (std::size_t g = p; g < all.size(); g += producers)
                 mine.push_back(all[g]);
               feed::ReplayTickSource shard(&full, mine, cursor, steps);
-              pipe.pump(shard);
+              pipe.ingest(shard);
             });
           for (auto& th : threads) th.join();
-          pipe.stop();
         }
         pipe.flush();
         cursor += steps;

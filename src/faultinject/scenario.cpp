@@ -624,7 +624,7 @@ ScenarioOutcome run_feed_scenario(std::uint64_t seed) {
   rng.uniform_index(32);  // unused draw: keeps each seed's settings below stable
   fcfg.publish_every = 4 + rng.uniform_index(12);
   fcfg.late_horizon = 2 + rng.uniform_index(4);
-  fcfg.queue_capacity = 32 + rng.uniform_index(96);
+  rng.uniform_index(96);  // unused draw: keeps each seed's producer count stable
   const FaultPlan fplan = FaultPlan::from_seed(seed);
 
   const auto chaos_chains = [&](FaultInjector& injector) {
@@ -651,14 +651,13 @@ ScenarioOutcome run_feed_scenario(std::uint64_t seed) {
   }
   pipe_a.flush();
 
-  // --- Run B: multi-producer through the bounded queue. ---
+  // --- Run B: multi-producer, each thread offer()ing its own shard. ---
   MarketBoard board_b(full.window(0, visible));
   feed::FeedPipeline pipe_b(&board_b, fcfg);
   FaultInjector injector_b(fplan);
   {
     auto [inners, chains] = chaos_chains(injector_b);
     const std::size_t producers = 2 + rng.uniform_index(3);
-    pipe_b.start();
     std::vector<std::thread> threads;
     for (std::size_t p = 0; p < producers; ++p) {
       threads.emplace_back([&, p] {
@@ -667,11 +666,10 @@ ScenarioOutcome run_feed_scenario(std::uint64_t seed) {
         std::vector<std::unique_ptr<feed::TickSource>> shard;
         for (std::size_t g = p; g < chains.size(); g += producers)
           shard.push_back(std::move(chains[g]));
-        drain_round_robin(shard, [&](const feed::Tick& t) { pipe_b.enqueue(t); });
+        drain_round_robin(shard, [&](const feed::Tick& t) { pipe_b.offer(t); });
       });
     }
     for (auto& t : threads) t.join();
-    pipe_b.stop();
   }
   pipe_b.flush();
 

@@ -14,7 +14,6 @@ FeedPipeline::FeedPipeline(MarketBoard* board, FeedConfig config)
   SOMPI_REQUIRE(board_ != nullptr);
   SOMPI_REQUIRE(config_.publish_every > 0);
   SOMPI_REQUIRE(config_.late_horizon >= 1);
-  SOMPI_REQUIRE(config_.queue_capacity > 0);
 
   const MarketSnapshot snap = board_->snapshot();
   const Market& market = *snap.market;
@@ -43,8 +42,6 @@ FeedPipeline::FeedPipeline(MarketBoard* board, FeedConfig config)
     }
   }
 }
-
-FeedPipeline::~FeedPipeline() { stop(); }
 
 void FeedPipeline::mix(std::uint64_t value) {
   std::uint64_t state = digest_ ^ (value + 0x9E3779B97F4A7C15ULL);
@@ -189,55 +186,8 @@ void FeedPipeline::publish_batch_locked() {
   rows_in_batch_ = 0;
 }
 
-void FeedPipeline::start() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  SOMPI_REQUIRE_MSG(!running_, "feed pipeline already running");
-  queue_ = std::make_unique<TickQueue>(config_.queue_capacity);
-  running_ = true;
-  consumer_ = std::thread([this] {
-    while (std::optional<Tick> tick = queue_->pop()) offer(*tick);
-  });
-}
-
-bool FeedPipeline::enqueue(const Tick& tick) {
-  TickQueue* queue = queue_.get();
-  return queue != nullptr && queue->push(tick);
-}
-
-bool FeedPipeline::try_enqueue(const Tick& tick) {
-  TickQueue* queue = queue_.get();
-  return queue != nullptr && queue->try_push(tick);
-}
-
-std::uint64_t FeedPipeline::pump(TickSource& source) {
-  std::uint64_t pushed = 0;
-  while (std::optional<Tick> tick = source.next()) {
-    if (!enqueue(*tick)) break;
-    ++pushed;
-  }
-  return pushed;
-}
-
-void FeedPipeline::stop() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!running_) return;
-  }
-  queue_->close();
-  consumer_.join();
-  std::lock_guard<std::mutex> lock(mutex_);
-  running_ = false;
-  last_queue_stats_ = queue_->stats();
-}
-
-bool FeedPipeline::running() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return running_;
-}
-
 void FeedPipeline::flush() {
   std::lock_guard<std::mutex> lock(mutex_);
-  SOMPI_REQUIRE_MSG(!running_, "stop() the pipeline before flush()");
   // Phase 1: force-resolve every pending observation (treat each group's
   // stream as infinitely advanced, so gaps below the last observation fill).
   for (GroupState& g : groups_) {
@@ -272,12 +222,6 @@ void FeedPipeline::flush() {
 FeedStats FeedPipeline::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-TickQueue::Stats FeedPipeline::queue_stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (running_ && queue_) return queue_->stats();
-  return last_queue_stats_;
 }
 
 std::uint64_t FeedPipeline::commit_digest() const {

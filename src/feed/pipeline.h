@@ -1,9 +1,10 @@
 // FeedPipeline — streaming spot-price ingestion driving epoch publication
 // (DESIGN.md §10).
 //
-// Ticks flow in from any mix of sources — synchronously (ingest/offer) or
-// through a bounded MPSC queue with a consumer thread (start/enqueue/stop) —
-// and are folded into a per-group *resolution frontier*:
+// Ticks enter through one door, offer() (ingest() drains a source through
+// it), from any number of caller threads — the pipeline owns no thread; one
+// mutex serializes every tick — and are folded into a per-group *resolution
+// frontier*:
 //
 //   * each group's next unresolved step resolves to its tick price the
 //     moment that tick arrives, or to a gap-fill (the group's last resolved
@@ -27,19 +28,17 @@
 // never of cross-group arrival interleaving — so the committed price matrix,
 // the epoch publication sequence and the commit digest are bit-identical at
 // any producer count, with or without a ChaosTickSource in front, for the
-// same underlying streams.
+// same underlying streams. The one contract on callers: each group's ticks
+// arrive in stream order, so each group is fed by a single thread.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "feed/tick.h"
-#include "feed/tick_queue.h"
 #include "service/market_board.h"
 
 namespace sompi::feed {
@@ -51,8 +50,6 @@ struct FeedConfig {
   /// step is declared lost and gap-filled. Bounds reordering tolerance AND
   /// pending-buffer memory.
   std::size_t late_horizon = 3;
-  /// Bounded queue capacity for the concurrent mode.
-  std::size_t queue_capacity = 1024;
 };
 
 /// Monotonic pipeline counters. After flush() the conservation laws hold:
@@ -101,44 +98,30 @@ class FeedPipeline {
   /// (ShardedPlanService::fanout()), which every shard plans against.
   FeedPipeline(MarketBoard* board, FeedConfig config);
 
-  ~FeedPipeline();
-
   FeedPipeline(const FeedPipeline&) = delete;
   FeedPipeline& operator=(const FeedPipeline&) = delete;
 
-  // --- synchronous ingestion (no queue, caller's thread) ---
-
-  /// Drains `source` to exhaustion; returns ticks ingested.
-  std::uint64_t ingest(TickSource& source);
-  /// Applies one tick. Thread-safe (serialized); per-group FIFO delivery is
-  /// the caller's responsibility — it is what determinism is defined over.
+  /// Applies one tick on the caller's thread. Thread-safe: any number of
+  /// producer threads may call it concurrently (one mutex serializes them).
+  /// Per-group FIFO is the caller's contract — feed each group from one
+  /// thread, in stream order; determinism is defined over those streams.
+  /// A tick outside the catalog or with a negative price throws
+  /// PreconditionError to its caller and is not counted.
   void offer(const Tick& tick);
-
-  // --- concurrent ingestion (bounded queue + consumer thread) ---
-
-  /// Starts the consumer thread with a fresh queue. Requires not running.
-  void start();
-  /// Blocking producer push; false once the pipeline stopped.
-  bool enqueue(const Tick& tick);
-  /// Non-blocking producer push; false = backpressure or stopped.
-  bool try_enqueue(const Tick& tick);
-  /// Producer helper: pushes every tick of `source`; returns ticks pushed.
-  std::uint64_t pump(TickSource& source);
-  /// Closes the queue, drains it, joins the consumer. Idempotent; the
-  /// pipeline can be start()ed again afterwards.
-  void stop();
-  bool running() const;
+  /// offer()s every tick of `source` on the caller's thread; returns ticks
+  /// offered. Multi-producer ingestion is N threads each ingest()ing its own
+  /// group shard.
+  std::uint64_t ingest(TickSource& source);
 
   /// Force-resolves every pending observation, commits the remaining rows
   /// (gap-filling groups that are short), and publishes the final partial
-  /// batch. Call after ingestion ends; not valid while running().
+  /// batch. Call once every producer has returned: a tick offered after
+  /// flush() may land on a step the flush already gap-filled.
   void flush();
 
   // --- observation ---
 
   FeedStats stats() const;
-  /// Queue counters from the most recent start()/stop() cycle.
-  TickQueue::Stats queue_stats() const;
   /// Order-sensitive digest over every committed (step, group, price) and
   /// every published (epoch, end_step): the determinism gate's fingerprint.
   std::uint64_t commit_digest() const;
@@ -177,11 +160,6 @@ class FeedPipeline {
   std::uint64_t digest_ = 0x5eedf00d9e3779b9ULL;
   std::uint64_t rows_in_batch_ = 0;
   std::vector<PublishRecord> publish_log_;
-  TickQueue::Stats last_queue_stats_;
-
-  std::unique_ptr<TickQueue> queue_;
-  std::thread consumer_;
-  bool running_ = false;
 };
 
 }  // namespace sompi::feed

@@ -1,8 +1,7 @@
-// Feed-pipeline tests: queue semantics, source determinism, the per-group
-// resolution frontier, epoch publication into the
-// serving layer, and the determinism gate (producer count and chaos are
-// invisible in the committed bits). Concurrent suites are named FeedStress*
-// so the TSan CI slice picks them up.
+// Feed-pipeline tests: source determinism, the per-group resolution
+// frontier, epoch publication into the serving layer, and the determinism
+// gate (producer count and chaos are invisible in the committed bits).
+// Concurrent suites are named FeedStress* so the TSan CI slice picks them up.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,12 +10,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.h"
 #include "core/adaptive.h"
 #include "faultinject/fault_plan.h"
 #include "faultinject/injector.h"
 #include "feed/board_oracle.h"
 #include "feed/pipeline.h"
-#include "feed/tick_queue.h"
 #include "feed/tick_source.h"
 #include "profile/paper_profiles.h"
 #include "service/plan_service.h"
@@ -34,73 +33,12 @@ using feed::FeedStats;
 using feed::ReplayTickSource;
 using feed::SyntheticTickSource;
 using feed::Tick;
-using feed::TickQueue;
 using feed::VectorTickSource;
 
 std::vector<Tick> drain(feed::TickSource& source) {
   std::vector<Tick> out;
   while (std::optional<Tick> t = source.next()) out.push_back(*t);
   return out;
-}
-
-// --- TickQueue --------------------------------------------------------------
-
-TEST(TickQueue, FifoAndCloseSemantics) {
-  TickQueue q(8);
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    Tick t;
-    t.seq = i;
-    ASSERT_TRUE(q.push(t));
-  }
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    const auto t = q.pop();
-    ASSERT_TRUE(t.has_value());
-    EXPECT_EQ(t->seq, i);
-  }
-  q.close();
-  EXPECT_FALSE(q.pop().has_value());
-  EXPECT_FALSE(q.push(Tick{}));
-  const TickQueue::Stats s = q.stats();
-  EXPECT_EQ(s.pushed, 3u);
-  EXPECT_EQ(s.popped, 3u);
-  EXPECT_EQ(s.rejected_closed, 1u);
-}
-
-TEST(TickQueue, TryPushShedsAtCapacity) {
-  TickQueue q(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.try_push(Tick{}));
-  EXPECT_FALSE(q.try_push(Tick{}));  // explicit backpressure, no blocking
-  const TickQueue::Stats s = q.stats();
-  EXPECT_EQ(s.pushed, 4u);
-  EXPECT_EQ(s.rejected_full, 1u);
-  EXPECT_EQ(s.max_depth, 4u);
-  EXPECT_EQ(q.depth(), 4u);
-}
-
-TEST(FeedStressQueue, BlockingProducerDrainsThroughTinyQueue) {
-  // Capacity 2 forces the producer to block; memory stays bounded while all
-  // ticks still arrive in FIFO order.
-  TickQueue q(2);
-  constexpr std::uint64_t kTicks = 500;
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kTicks; ++i) {
-      Tick t;
-      t.seq = i;
-      ASSERT_TRUE(q.push(t));
-    }
-    q.close();
-  });
-  std::uint64_t expect = 0;
-  while (const auto t = q.pop()) {
-    EXPECT_EQ(t->seq, expect);
-    ++expect;
-  }
-  producer.join();
-  EXPECT_EQ(expect, kTicks);
-  const TickQueue::Stats s = q.stats();
-  EXPECT_EQ(s.pushed, kTicks);
-  EXPECT_EQ(s.popped, kTicks);
-  EXPECT_LE(s.max_depth, 2u);
 }
 
 // --- Sources ----------------------------------------------------------------
@@ -359,7 +297,15 @@ TEST(FeedPipeline, PublishesEpochBatchesThatBitMatchTheRecordedMarket) {
       ASSERT_EQ(snap.market->trace(g).price(i), full.trace(g).price(i));
 }
 
-// --- Determinism gate: producer count and queueing are invisible. -----------
+// --- Determinism gate: producer count is invisible. ------------------------
+
+// Producer p's shard: groups p, p + producers, p + 2 * producers, ...
+std::vector<CircleGroupSpec> shard_of(const std::vector<CircleGroupSpec>& all, std::size_t p,
+                                      std::size_t producers) {
+  std::vector<CircleGroupSpec> mine;
+  for (std::size_t g = p; g < all.size(); g += producers) mine.push_back(all[g]);
+  return mine;
+}
 
 TEST(FeedStressPipeline, MultiProducerRunIsBitIdenticalToSync) {
   const Catalog catalog = paper_catalog();
@@ -370,36 +316,98 @@ TEST(FeedStressPipeline, MultiProducerRunIsBitIdenticalToSync) {
 
   FeedConfig cfg;
   cfg.publish_every = 8;
-  cfg.queue_capacity = 16;  // small: force real backpressure
 
   MarketBoard board_sync(full.window(0, visible));
   FeedPipeline sync(&board_sync, cfg);
   ReplayTickSource source(&full, {}, visible, len - visible);
-  sync.ingest(source);
+  const std::uint64_t offered = sync.ingest(source);
   sync.flush();
 
-  for (const std::size_t producers : {1u, 8u}) {
+  const std::vector<CircleGroupSpec> all = catalog.all_groups();
+  for (const std::size_t producers : {1u, 2u, 4u, 8u}) {
     MarketBoard board(full.window(0, visible));
     FeedPipeline pipe(&board, cfg);
-    pipe.start();
-    const std::vector<CircleGroupSpec> all = catalog.all_groups();
     std::vector<std::thread> threads;
     for (std::size_t p = 0; p < producers; ++p) {
       threads.emplace_back([&, p] {
-        std::vector<CircleGroupSpec> mine;
-        for (std::size_t g = p; g < all.size(); g += producers) mine.push_back(all[g]);
-        ReplayTickSource shard(&full, mine, visible, len - visible);
-        pipe.pump(shard);
+        ReplayTickSource shard(&full, shard_of(all, p, producers), visible, len - visible);
+        pipe.ingest(shard);
       });
     }
     for (auto& t : threads) t.join();
-    pipe.stop();
     pipe.flush();
     EXPECT_EQ(pipe.commit_digest(), sync.commit_digest()) << producers << " producers";
     EXPECT_EQ(pipe.stats().committed_steps, sync.stats().committed_steps);
     EXPECT_EQ(pipe.stats().gaps_filled, 0u);
-    EXPECT_EQ(pipe.queue_stats().pushed, pipe.stats().ticks_ingested);
+    EXPECT_EQ(pipe.stats().ticks_ingested, offered);
   }
+}
+
+TEST(FeedStressPipeline, InvalidTickThrowsToItsProducer) {
+  // A tick offer() rejects throws PreconditionError on the thread that
+  // offered it, leaves no trace in the counters or the committed bits, and
+  // does not disturb the other producers.
+  const Catalog catalog = paper_catalog();
+  const Market full =
+      generate_market(catalog, paper_market_profile(catalog), 1.0, 0.25, 77);
+  const std::size_t len = full.trace({0, 0}).steps();
+  const std::size_t visible = len / 2;
+  const std::size_t half = (len - visible) / 2;
+
+  FeedConfig cfg;
+  cfg.publish_every = 8;
+
+  MarketBoard board_sync(full.window(0, visible));
+  FeedPipeline sync(&board_sync, cfg);
+  ReplayTickSource source(&full, {}, visible, len - visible);
+  const std::uint64_t offered = sync.ingest(source);
+  sync.flush();
+
+  const std::vector<CircleGroupSpec> all = catalog.all_groups();
+  constexpr std::size_t kProducers = 4;
+  MarketBoard board(full.window(0, visible));
+  FeedPipeline pipe(&board, cfg);
+  int negative_rejected = 0;
+  int outside_rejected = 0;
+  std::vector<std::thread> threads;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&, p] {
+      const std::vector<CircleGroupSpec> mine = shard_of(all, p, kProducers);
+      if (p != 0) {
+        ReplayTickSource shard(&full, mine, visible, len - visible);
+        pipe.ingest(shard);
+        return;
+      }
+      // Producer 0 offers its two bad ticks halfway through its shard.
+      ReplayTickSource head(&full, mine, visible, half);
+      pipe.ingest(head);
+      Tick negative;
+      negative.group = mine[0];
+      negative.step = visible + half;
+      negative.price = -0.5;
+      try {
+        pipe.offer(negative);
+      } catch (const PreconditionError&) {
+        ++negative_rejected;
+      }
+      Tick outside = negative;
+      outside.group = CircleGroupSpec{catalog.types().size(), 0};
+      outside.price = 0.5;
+      try {
+        pipe.offer(outside);
+      } catch (const PreconditionError&) {
+        ++outside_rejected;
+      }
+      ReplayTickSource tail(&full, mine, visible + half, len - visible - half);
+      pipe.ingest(tail);
+    });
+  }
+  for (auto& t : threads) t.join();
+  pipe.flush();
+  EXPECT_EQ(negative_rejected, 1);
+  EXPECT_EQ(outside_rejected, 1);
+  EXPECT_EQ(pipe.stats().ticks_ingested, offered);
+  EXPECT_EQ(pipe.commit_digest(), sync.commit_digest());
 }
 
 TEST(FeedStressPipeline, ChaosDecoratedShardsStayDeterministic) {
@@ -423,19 +431,17 @@ TEST(FeedStressPipeline, ChaosDecoratedShardsStayDeterministic) {
     MarketBoard board(full.window(0, visible));
     FeedPipeline pipe(&board, cfg);
     fi::FaultInjector injector(plan);
-    pipe.start();
     std::vector<std::thread> threads;
     for (std::size_t p = 0; p < producers; ++p) {
       threads.emplace_back([&, p] {
         for (std::size_t g = p; g < all.size(); g += producers) {
           ReplayTickSource inner(&full, {all[g]}, visible, len - visible);
           ChaosTickSource chaos(&inner, &injector);
-          pipe.pump(chaos);
+          pipe.ingest(chaos);
         }
       });
     }
     for (auto& t : threads) t.join();
-    pipe.stop();
     pipe.flush();
     const FeedStats s = pipe.stats();
     EXPECT_EQ(s.ticks_ingested,
